@@ -56,7 +56,6 @@ pub fn object_dwell(
     object_dwell_stats(engine, ott, object, ts, te, rp, &mut Recorder::disabled(), &mut stats)
 }
 
-/// [`object_dwell`] with observability: bumps `stats`/`rec` for every
 /// NaN-safe strict "greater than": false when either operand is NaN,
 /// so degenerate or poisoned bounds take the empty/skip path instead of
 /// feeding NaN into the quadrature.
@@ -64,6 +63,7 @@ fn gt(a: f64, b: f64) -> bool {
     !a.is_nan() && !b.is_nan() && a.total_cmp(&b) == std::cmp::Ordering::Greater
 }
 
+/// [`object_dwell`] with observability: bumps `stats`/`rec` for every
 /// underlying UR derivation and presence integration.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn object_dwell_stats(

@@ -8,19 +8,29 @@
 //! boundary. The scheme is fully deterministic (identical inputs give
 //! identical areas), which keeps query results reproducible and lets the
 //! top-k algorithms compare flows exactly.
+//!
+//! The grid is walked as a quadtree over cell-index blocks. A block the
+//! region can classify as a whole ([`Region::classify`]) gets each cell's
+//! full or zero value without a single probe; only the cells no bound
+//! settles are probed, exactly as a plain per-cell pass would probe them.
+//! Per-cell values are summed in row-major order, so the result is the
+//! same `f64`, bit for bit, as probing every cell.
 
 use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::Polygon;
-use crate::region::Region;
+use crate::region::{all_of, Region};
 use std::cell::Cell;
 
 thread_local! {
     static PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Monotonic per-thread count of membership probes issued by the grid
-/// integrator (corner lattice + cell centres + super-samples).
+/// Monotonic per-thread count of membership probes the grid integrator
+/// actually issued (corner lattice points, cell centres, super-samples).
+/// Blocks settled by [`Region::classify`] cost no probes, so the count
+/// falls as classification settles more of the grid; the classification
+/// calls themselves are not counted.
 ///
 /// Observability hook: profilers snapshot it before and after a query
 /// and report the delta as "grid probes" — the number of point-in-region
@@ -73,22 +83,56 @@ pub fn area_in_polygon(
 ) -> f64 {
     let window = region.mbr().intersection(&polygon.mbr());
     // The polygon test is far cheaper than a composite (possibly
-    // topology-constrained) region test, so it goes first.
-    integrate(&|p| polygon.contains_fast(p) && region.contains(p), window, res)
+    // topology-constrained) region test, so it goes first. Its verdicts
+    // hold for `contains_fast` too (see `Polygon`'s `classify`).
+    integrate(
+        &|p| polygon.contains_fast(p) && region.contains(p),
+        &|b| match polygon.classify(b) {
+            Some(false) => Some(false),
+            v => all_of([v, region.classify(b)]),
+        },
+        window,
+        res,
+    )
 }
 
 /// Area of the region itself, integrated over its own MBR.
 pub fn area_of_region(region: &(impl Region + ?Sized), res: GridResolution) -> f64 {
-    integrate(&|p| region.contains(p), region.mbr(), res)
+    integrate(&|p| region.contains(p), &|b| region.classify(b), region.mbr(), res)
 }
 
 /// Area of `region` restricted to an explicit window rectangle.
 pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridResolution) -> f64 {
     let window = region.mbr().intersection(&window);
-    integrate(&|p| region.contains(p), window, res)
+    integrate(&|p| region.contains(p), &|b| region.classify(b), window, res)
 }
 
-fn integrate(inside: &dyn Fn(Point) -> bool, window: Mbr, res: GridResolution) -> f64 {
+/// One integration: the grid geometry, the memoised corner lattice and
+/// the per-cell values, filled block by block.
+struct Grid<'a> {
+    inside: &'a dyn Fn(Point) -> bool,
+    classify: &'a dyn Fn(&Mbr) -> Option<bool>,
+    origin: Point,
+    n: usize,
+    dx: f64,
+    dy: f64,
+    /// Outward padding of every classified block, so that rounding in the
+    /// sample coordinates can never put a probe outside its block.
+    pad: f64,
+    supersample: usize,
+    cell_area: f64,
+    /// Memoised corner-lattice memberships, `None` until probed.
+    corners: Vec<Option<bool>>,
+    cells: Vec<f64>,
+    probes: u64,
+}
+
+fn integrate(
+    inside: &dyn Fn(Point) -> bool,
+    classify: &dyn Fn(&Mbr) -> Option<bool>,
+    window: Mbr,
+    res: GridResolution,
+) -> f64 {
     if window.is_empty() {
         return 0.0;
     }
@@ -100,61 +144,117 @@ fn integrate(inside: &dyn Fn(Point) -> bool, window: Mbr, res: GridResolution) -
     let n = res.base;
     let dx = w / n as f64;
     let dy = h / n as f64;
-    let cell_area = dx * dy;
+    let scale = 1.0
+        + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
+    let mut grid = Grid {
+        inside,
+        classify,
+        origin: window.lo,
+        n,
+        dx,
+        dy,
+        pad: 1e-9 * scale,
+        supersample: res.supersample,
+        cell_area: dx * dy,
+        corners: vec![None; (n + 1) * (n + 1)],
+        cells: vec![0.0; n * n],
+        probes: 0,
+    };
+    grid.block(0, n, 0, n);
+    PROBES.with(|c| c.set(c.get().wrapping_add(grid.probes)));
+    // Row-major, the order of a plain per-cell pass. Every value is +0.0
+    // or positive, so skipping the zero cells leaves the sum unchanged.
+    grid.cells.iter().filter(|&&v| v != 0.0).fold(0.0, |total, &v| total + v)
+}
 
-    // Corner membership is shared between neighbouring cells; precompute the
-    // (n+1)×(n+1) lattice once so each corner is evaluated a single time.
-    let mut corners = vec![false; (n + 1) * (n + 1)];
-    for j in 0..=n {
-        let y = window.lo.y + dy * j as f64;
-        for i in 0..=n {
-            let x = window.lo.x + dx * i as f64;
-            corners[j * (n + 1) + i] = inside(Point::new(x, y));
-        }
+impl Grid<'_> {
+    fn x(&self, i: usize) -> f64 {
+        self.origin.x + self.dx * i as f64
     }
 
-    let mut probes = ((n + 1) * (n + 1)) as u64;
+    fn y(&self, j: usize) -> f64 {
+        self.origin.y + self.dy * j as f64
+    }
 
-    let s = res.supersample;
-    let sub_area = cell_area / (s * s) as f64;
-    let mut total = 0.0;
-    for j in 0..n {
-        let y0 = window.lo.y + dy * j as f64;
-        for i in 0..n {
-            let x0 = window.lo.x + dx * i as f64;
-            let c00 = corners[j * (n + 1) + i];
-            let c10 = corners[j * (n + 1) + i + 1];
-            let c01 = corners[(j + 1) * (n + 1) + i];
-            let c11 = corners[(j + 1) * (n + 1) + i + 1];
-            probes += 1;
-            let center = inside(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy));
-            let all_in = c00 && c10 && c01 && c11 && center;
-            let all_out = !c00 && !c10 && !c01 && !c11 && !center;
-            if all_in {
-                total += cell_area;
-            } else if all_out {
-                // Uniformly empty cell — but a thin feature could still pass
-                // through; the base resolution is chosen so features of
-                // interest span multiple cells.
-            } else {
-                // Boundary cell: super-sample at sub-cell centres.
-                probes += (s * s) as u64;
-                let mut hits = 0usize;
-                for sj in 0..s {
-                    let y = y0 + dy * (sj as f64 + 0.5) / s as f64;
-                    for si in 0..s {
-                        let x = x0 + dx * (si as f64 + 0.5) / s as f64;
-                        if inside(Point::new(x, y)) {
-                            hits += 1;
+    /// Settles the cells `[i0, i1) × [j0, j1)`: whole when the block
+    /// classifies, else by quadrants down to single cells.
+    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize) {
+        let b = Mbr::from_bounds(
+            Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
+            Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
+        );
+        match (self.classify)(&b) {
+            Some(true) => {
+                for j in j0..j1 {
+                    self.cells[j * self.n + i0..j * self.n + i1].fill(self.cell_area);
+                }
+            }
+            Some(false) => {}
+            None if i1 - i0 == 1 && j1 - j0 == 1 => self.leaf(i0, j0),
+            None => {
+                let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
+                let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
+                for (ja, jb) in [(j0, jm), (jm, j1)] {
+                    for (ia, ib) in [(i0, im), (im, i1)] {
+                        if ia < ib && ja < jb {
+                            self.block(ia, ib, ja, jb);
                         }
                     }
                 }
-                total += hits as f64 * sub_area;
             }
         }
     }
-    PROBES.with(|c| c.set(c.get().wrapping_add(probes)));
-    total
+
+    /// Membership of lattice corner `(i, j)`, probed at most once.
+    fn corner(&mut self, i: usize, j: usize) -> bool {
+        let k = j * (self.n + 1) + i;
+        if let Some(v) = self.corners[k] {
+            return v;
+        }
+        self.probes += 1;
+        let v = (self.inside)(Point::new(self.x(i), self.y(j)));
+        self.corners[k] = Some(v);
+        v
+    }
+
+    /// One unsettled cell: whole when its four corners and centre agree,
+    /// else super-sampled at sub-cell centres.
+    fn leaf(&mut self, i: usize, j: usize) {
+        let c00 = self.corner(i, j);
+        let c10 = self.corner(i + 1, j);
+        let c01 = self.corner(i, j + 1);
+        let c11 = self.corner(i + 1, j + 1);
+        let (dx, dy) = (self.dx, self.dy);
+        let x0 = self.x(i);
+        let y0 = self.y(j);
+        // Corners that disagree already make this a boundary cell; the
+        // centre could not change that, so it is only probed when they
+        // agree. A uniform cell could still hide a thin feature; the base
+        // resolution is chosen so features of interest span several cells.
+        if c00 == c10 && c00 == c01 && c00 == c11 {
+            self.probes += 1;
+            if (self.inside)(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy)) == c00 {
+                if c00 {
+                    self.cells[j * self.n + i] = self.cell_area;
+                }
+                return;
+            }
+        }
+        let s = self.supersample;
+        self.probes += (s * s) as u64;
+        let mut hits = 0usize;
+        for sj in 0..s {
+            let y = y0 + dy * (sj as f64 + 0.5) / s as f64;
+            for si in 0..s {
+                let x = x0 + dx * (si as f64 + 0.5) / s as f64;
+                if (self.inside)(Point::new(x, y)) {
+                    hits += 1;
+                }
+            }
+        }
+        let sub_area = self.cell_area / (s * s) as f64;
+        self.cells[j * self.n + i] = hits as f64 * sub_area;
+    }
 }
 
 #[cfg(test)]

@@ -34,6 +34,14 @@ impl Circle {
         (self.center.distance(p) - self.radius).max(0.0)
     }
 
+    /// Lower and upper bounds of [`Circle::boundary_distance`] over the
+    /// rectangle `b`, from its nearest and farthest points to the centre.
+    pub fn boundary_distance_bounds(&self, b: &Mbr) -> (f64, f64) {
+        let lo = b.min_distance_sq(self.center).sqrt() - self.radius;
+        let hi = b.max_distance_sq(self.center).sqrt() - self.radius;
+        (lo.max(0.0), hi.max(0.0))
+    }
+
     /// Exact disk area.
     pub fn area(&self) -> f64 {
         std::f64::consts::PI * self.radius * self.radius
@@ -77,8 +85,7 @@ pub fn circle_circle_intersection_area(c1: &Circle, c2: &Circle) -> f64 {
 /// orientation-independent.
 ///
 /// This routine serves as the analytic ground truth for validating the
-/// adaptive-grid integrator and as a fast path when an uncertainty region
-/// degenerates to a single disk.
+/// adaptive-grid integrator; no query path calls it.
 pub fn circle_polygon_area(circle: &Circle, polygon: &Polygon) -> f64 {
     if circle.radius <= EPS {
         return 0.0;

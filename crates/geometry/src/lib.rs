@@ -11,12 +11,13 @@
 //! * [`Polygon`]s modelling POI extents and room footprints, with exact area
 //!   and point-containment tests;
 //! * a composable [`Region`] abstraction (intersection / union / difference)
-//!   used to express uncertainty regions, together with a deterministic
+//!   used to express uncertainty regions, whose members can classify whole
+//!   rectangles ([`Region::classify`]), together with a deterministic
 //!   adaptive-grid integrator ([`area_in_polygon`]) that measures
 //!   `area(region ∩ polygon)` — the quantity at the heart of the paper's
 //!   *object presence* definition (Definition 1);
-//! * exact circle–polygon intersection area ([`circle_polygon_area`]) used
-//!   both as a fast path and to validate the grid integrator.
+//! * exact circle–polygon intersection area ([`circle_polygon_area`]), the
+//!   analytic ground truth the grid integrator is validated against.
 //!
 //! All coordinates are `f64` metres. The crate is dependency-free.
 
@@ -39,7 +40,8 @@ pub use mbr::Mbr;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;
 pub use region::{
-    BoxedRegion, EmptyRegion, HalfPlane, Region, RegionDifference, RegionIntersection, RegionUnion,
+    all_of, any_of, classify_at_most, classify_guarded, BoxedRegion, EmptyRegion, HalfPlane,
+    Region, RegionDifference, RegionIntersection, RegionUnion,
 };
 pub use ring::Ring;
 pub use segment::Segment;

@@ -171,6 +171,28 @@ impl Mbr {
         let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
         (dx * dx + dy * dy).sqrt()
     }
+
+    /// Squared minimum distance from `p` to any point of the rectangle
+    /// (0 inside; infinite for empty MBRs).
+    pub fn min_distance_sq(&self, p: Point) -> f64 {
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        let dx = (self.lo.x - p.x).max(0.0).max(p.x - self.hi.x);
+        let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
+        dx * dx + dy * dy
+    }
+
+    /// Squared maximum distance from `p` to any point of the rectangle
+    /// (the farthest corner; 0 for empty MBRs).
+    pub fn max_distance_sq(&self, p: Point) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        let dx = (p.x - self.lo.x).abs().max((self.hi.x - p.x).abs());
+        let dy = (p.y - self.lo.y).abs().max((self.hi.y - p.y).abs());
+        dx * dx + dy * dy
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +265,16 @@ mod tests {
         assert_eq!(a.min_distance(Point::new(1.0, 1.0)), 0.0);
         assert!((a.min_distance(Point::new(5.0, 2.0)) - 3.0).abs() < 1e-12);
         assert!((a.min_distance(Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn squared_distance_bounds() {
+        let a = mbr(0.0, 0.0, 2.0, 2.0);
+        assert_eq!(a.min_distance_sq(Point::new(1.0, 1.0)), 0.0);
+        assert_eq!(a.max_distance_sq(Point::new(1.0, 1.0)), 2.0);
+        assert_eq!(a.min_distance_sq(Point::new(5.0, 6.0)), 25.0);
+        assert_eq!(a.max_distance_sq(Point::new(5.0, 6.0)), 61.0);
+        assert_eq!(Mbr::EMPTY.min_distance_sq(Point::new(0.0, 0.0)), f64::INFINITY);
     }
 
     #[test]

@@ -16,6 +16,7 @@ pub struct Polygon {
     vertices: Vec<Point>,
     mbr: Mbr,
     area: f64,
+    axis_rectangle: bool,
 }
 
 /// Errors raised when constructing a [`Polygon`].
@@ -59,7 +60,13 @@ impl Polygon {
         }
         let mbr = Mbr::from_points(&vertices);
         let area = signed.abs();
-        Ok(Polygon { vertices, mbr, area })
+        let n = vertices.len();
+        let axis_rectangle = n == 4
+            && (0..n).all(|i| {
+                let (a, b) = (vertices[i], vertices[(i + 1) % n]);
+                a.x == b.x || a.y == b.y
+            });
+        Ok(Polygon { vertices, mbr, area, axis_rectangle })
     }
 
     /// Builds an axis-aligned rectangle from two opposite corners.
@@ -168,6 +175,13 @@ impl Polygon {
             j = i;
         }
         inside
+    }
+
+    /// Whether the polygon is an axis-aligned rectangle: four vertices and
+    /// every edge exactly parallel to an axis (cached at construction).
+    /// Such a polygon coincides with its MBR.
+    pub fn is_axis_rectangle(&self) -> bool {
+        self.axis_rectangle
     }
 
     /// Whether the polygon is convex (all turns in the same direction).
@@ -335,6 +349,22 @@ mod tests {
         assert!(l.contains(Point::new(0.5, 2.0)));
         assert!(l.contains(Point::new(2.0, 0.5)));
         assert!(!l.contains(Point::new(2.0, 2.0))); // inside the notch
+    }
+
+    #[test]
+    fn axis_rectangle_detection() {
+        assert!(square().is_axis_rectangle());
+        assert!(!Polygon::regular(Point::new(0.0, 0.0), 1.0, 4).is_axis_rectangle());
+        let l = Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(3.0, 0.0),
+            Point::new(3.0, 1.0),
+            Point::new(1.0, 1.0),
+            Point::new(1.0, 3.0),
+            Point::new(0.0, 3.0),
+        ])
+        .unwrap();
+        assert!(!l.is_axis_rectangle());
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! *predicates with a bounding box*: a [`Region`] answers membership queries
 //! and exposes an MBR, and the integrator in [`crate::area`] measures
 //! intersection areas numerically.
+//!
+//! A region may also *classify* whole rectangles ([`Region::classify`]):
+//! prove that every point of a block is in, or that none is. The
+//! integrator settles such blocks without probing them. Verdicts are
+//! three-valued (`Some(true)`, `Some(false)`, `None` = cannot tell) and
+//! combine with [`all_of`] / [`any_of`]; every threshold comparison
+//! behind one carries a relative slack of `1e-10`
+//! ([`classify_at_most`]), so float rounding can only turn a verdict
+//! into `None`, never into a wrong answer.
 
 use crate::circle::Circle;
 use crate::ellipse::ExtendedEllipse;
@@ -13,6 +22,7 @@ use crate::mbr::Mbr;
 use crate::point::{Point, Vec2};
 use crate::polygon::Polygon;
 use crate::ring::Ring;
+use crate::EPS;
 
 /// A (possibly unbounded-in-shape, but MBR-bounded) point set in the plane.
 ///
@@ -30,6 +40,96 @@ pub trait Region {
     fn is_empty_hint(&self) -> bool {
         self.mbr().is_empty()
     }
+
+    /// Classifies the closed rectangle `b`: `Some(true)` when every point
+    /// of `b` is in the region, `Some(false)` when none is, `None` when
+    /// the region cannot tell. A verdict must agree with
+    /// [`Region::contains`] at every point of `b`; `None` is always
+    /// sound, and is the default.
+    fn classify(&self, _b: &Mbr) -> Option<bool> {
+        None
+    }
+}
+
+/// The slack a [`Region::classify`] threshold comparison carries:
+/// `1e-10 · (1 + |thr|)`, far above the rounding error of the distances
+/// compared against `thr` and far below any meaningful length.
+fn threshold_slack(thr: f64) -> f64 {
+    1e-10 * (1.0 + thr.abs())
+}
+
+/// Three-valued verdict on `x <= thr` for every `x` in `[lo, hi]`, with
+/// [`threshold_slack`] on both sides. Negate it for `x > thr`.
+pub fn classify_at_most(lo: f64, hi: f64, thr: f64) -> Option<bool> {
+    let slack = threshold_slack(thr);
+    if hi <= thr - slack {
+        Some(true)
+    } else if lo > thr + slack {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Three-valued AND: `Some(false)` as soon as one verdict is, `Some(true)`
+/// when all are, `None` otherwise. Stops at the first `Some(false)`, so
+/// pass a lazy iterator when later verdicts are costly.
+pub fn all_of(verdicts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+    let mut all = true;
+    for v in verdicts {
+        match v {
+            Some(false) => return Some(false),
+            Some(true) => {}
+            None => all = false,
+        }
+    }
+    all.then_some(true)
+}
+
+/// Three-valued OR: `Some(true)` as soon as one verdict is, `Some(false)`
+/// when all are, `None` otherwise.
+pub fn any_of(verdicts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> {
+    let mut none = true;
+    for v in verdicts {
+        match v {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => none = false,
+        }
+    }
+    none.then_some(false)
+}
+
+/// Verdict of `guard.contains(p) && part.contains(p)` over `b`; the part
+/// is only classified when the guard MBR does not already rule `b` out.
+pub fn classify_guarded(guard: &Mbr, part: &(impl Region + ?Sized), b: &Mbr) -> Option<bool> {
+    match guard.classify(b) {
+        Some(false) => Some(false),
+        g => all_of([g, part.classify(b)]),
+    }
+}
+
+/// Verdict of "in `m` grown by `tol`" over `b`. `Some(true)` needs `b`
+/// strictly inside `m` itself, so it holds for boundary-exclusive tests
+/// of `m` as well.
+fn rect_verdict(m: &Mbr, b: &Mbr, tol: f64) -> Option<bool> {
+    if m.is_empty() {
+        return Some(false);
+    }
+    let (lo, hi) = (m.lo, m.hi);
+    let inside = |blo: f64, bhi: f64, lo: f64, hi: f64| {
+        blo > lo + threshold_slack(lo) && bhi < hi - threshold_slack(hi)
+    };
+    let apart = |blo: f64, bhi: f64, lo: f64, hi: f64| {
+        bhi < lo - tol - threshold_slack(lo) || blo > hi + tol + threshold_slack(hi)
+    };
+    if inside(b.lo.x, b.hi.x, lo.x, hi.x) && inside(b.lo.y, b.hi.y, lo.y, hi.y) {
+        Some(true)
+    } else if apart(b.lo.x, b.hi.x, lo.x, hi.x) || apart(b.lo.y, b.hi.y, lo.y, hi.y) {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// A heap-allocated, thread-safe region — the common currency of the
@@ -43,6 +143,10 @@ impl Region for Circle {
     fn mbr(&self) -> Mbr {
         Circle::mbr(self)
     }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        let (lo, hi) = (b.min_distance_sq(self.center), b.max_distance_sq(self.center));
+        classify_at_most(lo, hi, self.radius * self.radius + EPS)
+    }
 }
 
 impl Region for Ring {
@@ -54,6 +158,19 @@ impl Region for Ring {
     }
     fn is_empty_hint(&self) -> bool {
         self.is_empty()
+    }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        if self.is_empty() {
+            return Some(false);
+        }
+        let c = self.inner.center;
+        let (lo, hi) = (b.min_distance_sq(c), b.max_distance_sq(c));
+        let r_in = self.inner.radius;
+        let r_out = r_in + self.extension;
+        all_of([
+            classify_at_most(lo, hi, r_in * r_in - EPS).map(|v| !v),
+            classify_at_most(lo, hi, r_out * r_out + EPS),
+        ])
     }
 }
 
@@ -67,6 +184,14 @@ impl Region for ExtendedEllipse {
     fn is_empty_hint(&self) -> bool {
         self.is_empty()
     }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        if self.budget < -EPS {
+            return Some(false);
+        }
+        let (lo_from, hi_from) = self.from.boundary_distance_bounds(b);
+        let (lo_to, hi_to) = self.to.boundary_distance_bounds(b);
+        classify_at_most(lo_from + lo_to, hi_from + hi_to, self.budget + EPS)
+    }
 }
 
 impl Region for Polygon {
@@ -76,6 +201,16 @@ impl Region for Polygon {
     fn mbr(&self) -> Mbr {
         Polygon::mbr(self)
     }
+    /// Rectangles only. Blocks touching an edge stay `None`: the verdicts
+    /// hold for [`Polygon::contains`] and [`Polygon::contains_fast`] alike,
+    /// and the two differ on the boundary.
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        if self.is_axis_rectangle() {
+            rect_verdict(&Polygon::mbr(self), b, EPS)
+        } else {
+            None
+        }
+    }
 }
 
 impl Region for Mbr {
@@ -84,6 +219,9 @@ impl Region for Mbr {
     }
     fn mbr(&self) -> Mbr {
         *self
+    }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        rect_verdict(self, b, 0.0)
     }
 }
 
@@ -97,6 +235,9 @@ impl<R: Region + ?Sized> Region for Box<R> {
     fn is_empty_hint(&self) -> bool {
         (**self).is_empty_hint()
     }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        (**self).classify(b)
+    }
 }
 
 impl<R: Region + ?Sized> Region for &R {
@@ -108,6 +249,9 @@ impl<R: Region + ?Sized> Region for &R {
     }
     fn is_empty_hint(&self) -> bool {
         (**self).is_empty_hint()
+    }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        (**self).classify(b)
     }
 }
 
@@ -124,6 +268,9 @@ impl Region for EmptyRegion {
     }
     fn is_empty_hint(&self) -> bool {
         true
+    }
+    fn classify(&self, _b: &Mbr) -> Option<bool> {
+        Some(false)
     }
 }
 
@@ -193,6 +340,10 @@ impl Region for RegionIntersection {
     fn is_empty_hint(&self) -> bool {
         self.mbr.is_empty() || self.parts.iter().any(|r| r.is_empty_hint())
     }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        let guard = std::iter::once(self.mbr.classify(b));
+        all_of(guard.chain(self.parts.iter().map(|r| r.classify(b))))
+    }
 }
 
 /// Union of several regions: membership in at least one. The MBR is the
@@ -231,6 +382,12 @@ impl Region for RegionUnion {
     }
     fn is_empty_hint(&self) -> bool {
         self.parts.iter().all(|(_, r)| r.is_empty_hint())
+    }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        match self.mbr.classify(b) {
+            Some(false) => Some(false),
+            g => all_of([g, any_of(self.parts.iter().map(|(pm, r)| classify_guarded(pm, r, b)))]),
+        }
     }
 }
 

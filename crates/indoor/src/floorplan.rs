@@ -183,12 +183,23 @@ impl FloorPlanBuilder {
         }
         let mbr = self.cells.iter().fold(Mbr::EMPTY, |m, c| m.union(&c.footprint.mbr()));
         let locator = CellLocator::build(&self.cells, mbr);
+        let overlapping = self
+            .cells
+            .iter()
+            .map(|cell| {
+                let m = cell.footprint.mbr();
+                let overlaps =
+                    |o: &&Cell| o.id != cell.id && o.footprint.mbr().intersection(&m).area() > 0.0;
+                self.cells.iter().filter(overlaps).map(|o| o.id).collect()
+            })
+            .collect();
         Ok(FloorPlan {
             cells: self.cells,
             doors: self.doors,
             devices: self.devices,
             pois: self.pois,
             doors_by_cell,
+            overlapping,
             locator,
             mbr,
         })
@@ -203,6 +214,9 @@ pub struct FloorPlan {
     devices: Vec<Device>,
     pois: Vec<Poi>,
     doors_by_cell: Vec<Vec<DoorId>>,
+    /// Per cell, the other cells whose MBRs overlap its MBR in more than
+    /// a shared wall (none in a plan whose cells tile the floor).
+    overlapping: Vec<Vec<CellId>>,
     locator: CellLocator,
     mbr: Mbr,
 }
@@ -284,6 +298,33 @@ impl FloorPlan {
             .copied()
             .filter(|&id| self.cells[id.index()].contains(p))
             .collect()
+    }
+
+    /// The one cell holding all of `b` at least `margin` from its walls,
+    /// when that cell is an axis-aligned rectangle and no other cell's MBR
+    /// comes within `margin` of `b`; `None` otherwise.
+    ///
+    /// Every point of `b` then locates to that cell, and none lies near
+    /// enough to a wall to be claimed by a neighbour — what lets the
+    /// topology check bound indoor distances over a whole block.
+    pub fn sole_cell(&self, b: &Mbr, margin: f64) -> Option<CellId> {
+        let grown = b.expanded(margin);
+        let mbr_of = |id: CellId| self.cells[id.index()].footprint().mbr();
+        let strictly_inside = |m: Mbr| {
+            m.lo.x < grown.lo.x && grown.hi.x < m.hi.x && m.lo.y < grown.lo.y && grown.hi.y < m.hi.y
+        };
+        let id = self
+            .locator
+            .candidates(grown.center())
+            .iter()
+            .copied()
+            .find(|&id| strictly_inside(mbr_of(id)))?;
+        // A cell whose MBR meets this one's only along a wall cannot
+        // reach `grown`, which stays clear of the walls; only overlapping
+        // cells need a look.
+        let clear = self.cells[id.index()].footprint().is_axis_rectangle()
+            && self.overlapping[id.index()].iter().all(|&o| !mbr_of(o).intersects(&grown));
+        clear.then_some(id)
     }
 
     /// Bounding rectangle of the whole plan.
@@ -426,6 +467,19 @@ mod tests {
         assert_eq!(all, vec![CellId(0), CellId(1)]);
         assert_eq!(plan.locate(Point::new(100.0, 1.0)), None);
         assert_eq!(plan.locate(Point::new(-1.0, 1.0)), None);
+    }
+
+    #[test]
+    fn sole_cell_needs_one_rectangle_and_a_margin() {
+        let plan = two_rooms();
+        let block = |x0, y0, x1, y1| Mbr::new(Point::new(x0, y0), Point::new(x1, y1));
+        assert_eq!(plan.sole_cell(&block(1.0, 1.0, 2.0, 2.0), 1e-5), Some(CellId(0)));
+        assert_eq!(plan.sole_cell(&block(5.0, 1.0, 7.9, 3.0), 1e-5), Some(CellId(1)));
+        // Straddling the shared wall, or within the margin of it.
+        assert_eq!(plan.sole_cell(&block(3.0, 1.0, 5.0, 2.0), 1e-5), None);
+        assert_eq!(plan.sole_cell(&block(3.0, 1.0, 4.0 - 1e-6, 2.0), 1e-5), None);
+        // Outside the building.
+        assert_eq!(plan.sole_cell(&block(9.0, 1.0, 10.0, 2.0), 1e-5), None);
     }
 
     #[test]

@@ -551,6 +551,11 @@ impl ServerHandle {
 /// writer thread so they never interleave mid-frame.
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    // Replies are small frames written as soon as they are ready; with
+    // Nagle's algorithm on, one written behind an unacknowledged frame
+    // waits for the client's delayed ACK (~40 ms). The client side sets
+    // the same option. Failure only costs latency, so it is not fatal.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         shared.conns.fetch_sub(1, Ordering::Relaxed);
         return;

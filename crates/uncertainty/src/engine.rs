@@ -3,8 +3,8 @@
 use crate::context::IndoorContext;
 use crate::regions::{ConstrainedRing, ConstrainedTheta};
 use inflow_geometry::{
-    area_in_polygon, BoxedRegion, Circle, ExtendedEllipse, GridResolution, Mbr, Point, Region,
-    RegionIntersection, Ring,
+    all_of, any_of, area_in_polygon, classify_guarded, BoxedRegion, Circle, ExtendedEllipse,
+    GridResolution, Mbr, Point, Region, RegionIntersection, Ring,
 };
 use inflow_indoor::{DeviceId, Poi};
 use inflow_tracking::{ObjectId, ObjectState, ObjectTrackingTable, Timestamp};
@@ -87,8 +87,9 @@ impl UncertaintyRegion {
 
     /// A view of the region restricted to segments whose MBRs intersect
     /// `window`; integrating over this view is equivalent to integrating
-    /// the full region against any polygon inside `window`.
-    fn restricted_to(&self, window: &Mbr) -> RestrictedUr<'_> {
+    /// the full region against any polygon inside `window`. Presence
+    /// integrates over this view.
+    pub fn restricted_to(&self, window: &Mbr) -> RestrictedUr<'_> {
         let parts: Vec<&(Mbr, BoxedRegion)> =
             self.parts.iter().filter(|(m, _)| m.intersects(window)).collect();
         let mbr = parts.iter().fold(Mbr::EMPTY, |m, (pm, _)| m.union(pm));
@@ -106,11 +107,17 @@ impl Region for UncertaintyRegion {
     fn is_empty_hint(&self) -> bool {
         self.is_empty()
     }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        match self.mbr.classify(b) {
+            Some(false) => Some(false),
+            g => all_of([g, any_of(self.parts.iter().map(|(m, r)| classify_guarded(m, r, b)))]),
+        }
+    }
 }
 
 /// A borrow of the segments of an [`UncertaintyRegion`] relevant to one
-/// integration window.
-struct RestrictedUr<'a> {
+/// integration window ([`UncertaintyRegion::restricted_to`]).
+pub struct RestrictedUr<'a> {
     parts: Vec<&'a (Mbr, BoxedRegion)>,
     mbr: Mbr,
 }
@@ -121,6 +128,9 @@ impl Region for RestrictedUr<'_> {
     }
     fn mbr(&self) -> Mbr {
         self.mbr
+    }
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        any_of(self.parts.iter().map(|(m, r)| classify_guarded(m, r, b)))
     }
 }
 

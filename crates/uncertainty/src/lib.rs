@@ -38,5 +38,5 @@ pub mod engine;
 pub mod regions;
 
 pub use context::IndoorContext;
-pub use engine::{IntervalChain, UncertaintyRegion, UrConfig, UrEngine};
+pub use engine::{IntervalChain, RestrictedUr, UncertaintyRegion, UrConfig, UrEngine};
 pub use regions::{ConstrainedRing, ConstrainedTheta, IndoorAnchor};

@@ -7,9 +7,17 @@
 //! directly: the integrator then measures exactly the checked region.
 
 use crate::context::IndoorContext;
-use inflow_geometry::{Circle, ExtendedEllipse, Mbr, Point, Region, Ring};
+use inflow_geometry::{
+    all_of, classify_at_most, Circle, ExtendedEllipse, Mbr, Point, Region, Ring,
+};
 use inflow_indoor::CellId;
 use std::sync::Arc;
+
+/// How far a block must stay from every wall before the topology check
+/// bounds indoor distances over it (see [`IndoorAnchor::boundary_bounds`]).
+/// Ten times the wall tolerance of the per-point check, so no point of a
+/// bounded block ever takes the shared-wall path.
+const SOLE_CELL_MARGIN: f64 = 1e-5;
 
 /// A device anchoring a maximum-speed constraint: indoor distance is
 /// measured from the device's position (minus its detection radius, since
@@ -69,6 +77,57 @@ impl IndoorAnchor {
             None => self.circle.center.distance(q),
         };
         Some((d - self.circle.radius).max(0.0))
+    }
+
+    /// Bounds `(lo, hi)` on [`IndoorAnchor::boundary_indoor_distance`] over
+    /// every point of the rectangle `b`, with `f64::INFINITY` standing for
+    /// unreachable. `None` unless the plan finds one rectangular cell
+    /// holding `b` clear of its walls ([`inflow_indoor::FloorPlan::sole_cell`]).
+    ///
+    /// Inside one cell the indoor distance is 1-Lipschitz: the Euclidean
+    /// distance to the device in the anchor's own cell, and
+    /// `min over the cell's doors of (door_dist + |door − q|)` in any
+    /// other, so its range over `b` follows from point-to-rectangle
+    /// distances.
+    pub fn boundary_bounds(&self, b: &Mbr) -> Option<(f64, f64)> {
+        // Points inside the detection range cost zero.
+        let in_range = self.circle.classify(b);
+        if in_range == Some(true) {
+            return Some((0.0, 0.0));
+        }
+        let c = self.circle.center;
+        let euclidean = || (b.min_distance_sq(c).sqrt(), b.max_distance_sq(c).sqrt());
+        let (lo, hi) = match &self.cell {
+            None => euclidean(),
+            Some((anchor_cell, door_dists)) => {
+                let plan = self.ctx.plan();
+                let cell = plan.sole_cell(b, SOLE_CELL_MARGIN)?;
+                if cell == *anchor_cell {
+                    euclidean()
+                } else {
+                    let positions = self.ctx.oracle().door_positions();
+                    plan.doors_of_cell(cell).iter().fold(
+                        (f64::INFINITY, f64::INFINITY),
+                        |(lo, hi), door| {
+                            let via = door_dists[door.index()];
+                            // lo <= hi, so a door already this far away
+                            // improves neither bound.
+                            if via >= hi {
+                                return (lo, hi);
+                            }
+                            let at = positions[door.index()];
+                            (
+                                lo.min(via + b.min_distance_sq(at).sqrt()),
+                                hi.min(via + b.max_distance_sq(at).sqrt()),
+                            )
+                        },
+                    )
+                }
+            }
+        };
+        let r = self.circle.radius;
+        let lo = if in_range == Some(false) { (lo - r).max(0.0) } else { 0.0 };
+        Some((lo, (hi - r).max(0.0)))
     }
 
     /// Indoor distance from the anchor to `q` assuming `q` is entered
@@ -152,6 +211,19 @@ impl Region for ConstrainedRing {
     fn is_empty_hint(&self) -> bool {
         self.ring.is_empty()
     }
+
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        let ring = self.ring.classify(b);
+        match (&self.anchor, ring) {
+            (None, _) | (_, Some(false)) => ring,
+            (Some(anchor), _) => {
+                let ext = self.ring.extension;
+                let topo =
+                    anchor.boundary_bounds(b).and_then(|(lo, hi)| classify_at_most(lo, hi, ext));
+                all_of([ring, topo])
+            }
+        }
+    }
 }
 
 /// The extended ellipse `Θ` with an optional indoor-distance constraint.
@@ -214,6 +286,25 @@ impl Region for ConstrainedTheta {
 
     fn is_empty_hint(&self) -> bool {
         self.theta.is_empty()
+    }
+
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        let theta = self.theta.classify(b);
+        match (&self.anchors, theta) {
+            (None, _) | (_, Some(false)) => theta,
+            (Some((from, to)), _) => {
+                let budget = self.theta.budget;
+                let topo = from.boundary_bounds(b).zip(to.boundary_bounds(b)).and_then(
+                    |((lo1, hi1), (lo2, hi2))| {
+                        all_of([
+                            classify_at_most(lo1, hi1, budget),
+                            classify_at_most(lo1 + lo2, hi1 + hi2, budget + inflow_geometry::EPS),
+                        ])
+                    },
+                );
+                all_of([theta, topo])
+            }
+        }
     }
 }
 

@@ -38,6 +38,9 @@ cargo test -q --workspace --offline
 echo "== chaos suite (seeded corruption grid × all four algorithms)"
 cargo test -q --test chaos --test robustness --offline
 
+echo "== presence kernel (block verdicts sound; integrator bit-identical to probing every cell)"
+cargo test -q --test presence_kernel --offline
+
 echo "== crash suite (deterministic failpoint sweep over the ingestion store)"
 cargo test -q --test crash --offline
 

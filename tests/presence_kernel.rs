@@ -1,0 +1,453 @@
+//! Oracles for the presence kernel (`inflow::geometry::area`).
+//!
+//! The integrator settles whole grid blocks with `Region::classify` and
+//! probes only the cells no verdict settles. Two properties make that
+//! safe, and both are checked here on seeded inputs from the in-tree
+//! `StdRng`:
+//!
+//! * **Soundness**: a verdict `classify(b) == Some(v)` agrees with
+//!   `contains` at a 5×5 lattice of `b` (corners and centre included), for
+//!   every region kind that classifies — topology-constrained ones on the
+//!   synthetic, CPH-like and scenario (office / library / metro) plans.
+//! * **Equivalence**: integrating a region returns the same `f64`, bit for
+//!   bit, as integrating an [`Opaque`] wrapper of it, which hides
+//!   `classify` and so probes every cell, and as [`per_cell_area`], the
+//!   plain per-cell pass written out here.
+//!
+//! The integrator's accuracy properties (exact circle–polygon areas,
+//! MBR containment, rectangle clipping) live here too.
+
+use inflow::geometry::{
+    area_in_polygon, area_of_region, circle_polygon_area, integration_probes, BoxedRegion, Circle,
+    EmptyRegion, ExtendedEllipse, GridResolution, Mbr, Point, Polygon, Region, RegionIntersection,
+    RegionUnion, Ring,
+};
+use inflow::indoor::FloorPlan;
+use inflow::uncertainty::{ConstrainedRing, ConstrainedTheta, IndoorContext, UrConfig, UrEngine};
+use inflow::workload::rng::StdRng;
+use inflow::workload::{
+    generate_cph, generate_synthetic, library_plan, metro_station_plan, office_plan, CphConfig,
+    SyntheticConfig, Workload,
+};
+use std::sync::Arc;
+
+/// Forwards only `contains` and `mbr`, so `classify` is the default
+/// `None` and the integrator probes every cell: the reference path.
+struct Opaque<'a, R: ?Sized>(&'a R);
+
+impl<R: Region + ?Sized> Region for Opaque<'_, R> {
+    fn contains(&self, p: Point) -> bool {
+        self.0.contains(p)
+    }
+    fn mbr(&self) -> Mbr {
+        self.0.mbr()
+    }
+}
+
+/// The plain per-cell pass, spelled out independently of the library:
+/// probe the whole `(n+1)²` corner lattice, then every cell's centre, and
+/// super-sample each cell whose five probes disagree; sum row-major. The
+/// library must reproduce it bit for bit.
+fn per_cell_area(region: &dyn Region, polygon: &Polygon, res: GridResolution) -> f64 {
+    let inside = |p: Point| polygon.contains_fast(p) && region.contains(p);
+    let window = region.mbr().intersection(&polygon.mbr());
+    let (w, h) = (window.width(), window.height());
+    if window.is_empty() || w <= 0.0 || h <= 0.0 {
+        return 0.0;
+    }
+    let (n, s) = (res.base, res.supersample);
+    let (dx, dy) = (w / n as f64, h / n as f64);
+    let cell_area = dx * dy;
+    let x = |i: usize| window.lo.x + dx * i as f64;
+    let y = |j: usize| window.lo.y + dy * j as f64;
+    let corners: Vec<bool> = (0..=n)
+        .flat_map(|j| (0..=n).map(move |i| (i, j)))
+        .map(|(i, j)| inside(Point::new(x(i), y(j))))
+        .collect();
+    let corner = |i: usize, j: usize| corners[j * (n + 1) + i];
+    let mut total = 0.0;
+    for j in 0..n {
+        for i in 0..n {
+            let (x0, y0) = (x(i), y(j));
+            let five = [
+                corner(i, j),
+                corner(i + 1, j),
+                corner(i, j + 1),
+                corner(i + 1, j + 1),
+                inside(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy)),
+            ];
+            if five.iter().all(|&v| v) {
+                total += cell_area;
+            } else if five.iter().any(|&v| v) {
+                let mut hits = 0usize;
+                for sj in 0..s {
+                    let py = y0 + dy * (sj as f64 + 0.5) / s as f64;
+                    for si in 0..s {
+                        let px = x0 + dx * (si as f64 + 0.5) / s as f64;
+                        hits += usize::from(inside(Point::new(px, py)));
+                    }
+                }
+                total += hits as f64 * (cell_area / (s * s) as f64);
+            }
+        }
+    }
+    total
+}
+
+fn point_in(rng: &mut StdRng, m: &Mbr) -> Point {
+    Point::new(rng.random_range(m.lo.x..=m.hi.x), rng.random_range(m.lo.y..=m.hi.y))
+}
+
+/// A rectangle centred near `around` (grown by 1 m), with sides
+/// log-uniform between 5 mm and 5 m: from single grid cells to whole
+/// rooms.
+fn random_block(rng: &mut StdRng, around: &Mbr) -> Mbr {
+    let c = point_in(rng, &around.expanded(1.0));
+    let w = 0.005 * 1000f64.powf(rng.random_range(0.0..1.0));
+    let h = 0.005 * 1000f64.powf(rng.random_range(0.0..1.0));
+    Mbr::new(Point::new(c.x - w / 2.0, c.y - h / 2.0), Point::new(c.x + w / 2.0, c.y + h / 2.0))
+}
+
+/// The 5×5 lattice of `b`, corners and centre included.
+fn lattice(b: &Mbr) -> impl Iterator<Item = Point> + '_ {
+    let at = |lo: f64, hi: f64, k: usize| if k == 4 { hi } else { lo + (hi - lo) * k as f64 / 4.0 };
+    (0..5).flat_map(move |j| {
+        (0..5).map(move |i| Point::new(at(b.lo.x, b.hi.x, i), at(b.lo.y, b.hi.y, j)))
+    })
+}
+
+/// Verdict counts over random blocks: `[in, out, unsettled]`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally([usize; 3]);
+
+impl Tally {
+    fn settled_both_ways(&self) -> bool {
+        self.0[0] > 0 && self.0[1] > 0
+    }
+}
+
+/// Classifies `blocks` random blocks around `region` and checks every
+/// verdict against `contains` on the lattice.
+fn check_sound(what: &str, region: &dyn Region, rng: &mut StdRng, blocks: usize) -> Tally {
+    let around = region.mbr();
+    let around = if around.is_empty() {
+        Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
+    } else {
+        around
+    };
+    let mut tally = Tally::default();
+    for _ in 0..blocks {
+        let b = random_block(rng, &around);
+        let verdict = region.classify(&b);
+        match verdict {
+            Some(true) => tally.0[0] += 1,
+            Some(false) => tally.0[1] += 1,
+            None => tally.0[2] += 1,
+        }
+        if let Some(v) = verdict {
+            for p in lattice(&b) {
+                assert_eq!(
+                    region.contains(p),
+                    v,
+                    "{what}: classify({b:?}) = {v} but contains({p}) disagrees"
+                );
+            }
+        }
+    }
+    tally
+}
+
+fn random_circle(rng: &mut StdRng) -> Circle {
+    Circle::new(
+        point_in(rng, &Mbr::new(Point::new(-10.0, -10.0), Point::new(10.0, 10.0))),
+        rng.random_range(0.2..4.0),
+    )
+}
+
+#[test]
+fn primitive_verdicts_are_sound() {
+    let mut rng = StdRng::seed_from_u64(0x501D);
+    for case in 0..24 {
+        let c1 = random_circle(&mut rng);
+        let c2 = random_circle(&mut rng);
+        let ring = Ring::new(c1, rng.random_range(-0.5..6.0));
+        let gap = ExtendedEllipse::new(c1, c2, 0.0).boundary_gap();
+        let theta = ExtendedEllipse::new(c1, c2, gap + rng.random_range(-1.0..8.0));
+        let lo = point_in(&mut rng, &c1.mbr());
+        let rect = Mbr::new(
+            lo,
+            Point::new(lo.x + rng.random_range(0.5..6.0), lo.y + rng.random_range(0.5..6.0)),
+        );
+        let poly = Polygon::rectangle(rect.lo, rect.hi);
+        let tilted = Polygon::regular(c2.center, c2.radius, 5);
+
+        let circle = check_sound("circle", &c1, &mut rng, 200);
+        let rect_t = check_sound("mbr", &rect, &mut rng, 200);
+        let poly_t = check_sound("rectangle polygon", &poly, &mut rng, 200);
+        assert!(
+            circle.settled_both_ways() && rect_t.settled_both_ways() && poly_t.settled_both_ways(),
+            "case {case}: {circle:?} {rect_t:?} {poly_t:?}"
+        );
+        check_sound("ring", &ring, &mut rng, 200);
+        check_sound("extended ellipse", &theta, &mut rng, 200);
+        let pentagon = check_sound("pentagon", &tilted, &mut rng, 50);
+        assert_eq!(pentagon.0[2], 50, "only rectangles classify");
+        check_sound("empty", &EmptyRegion, &mut rng, 20);
+        check_sound("by reference", &&c1, &mut rng, 50);
+        let boxed: BoxedRegion = Box::new(ring);
+        check_sound("boxed", &boxed, &mut rng, 50);
+
+        let lens = RegionIntersection::of(Ring::new(c1, 3.0), Ring::new(c2, 3.0));
+        check_sound("intersection", &lens, &mut rng, 200);
+        let union = RegionUnion::new(vec![Box::new(c1), Box::new(theta), Box::new(poly)]);
+        let t = check_sound("union", &union, &mut rng, 200);
+        assert!(t.settled_both_ways(), "case {case}: union {t:?}");
+    }
+}
+
+/// Constrained rings and extended ellipses between the devices of `plan`,
+/// each checked against its Euclidean twin: some verdicts must come from
+/// the topology bound alone (Euclidean in or unsure, indoor out).
+fn check_topology_plan(name: &str, plan: FloorPlan, rng: &mut StdRng) {
+    let ctx = Arc::new(IndoorContext::new(plan));
+    let devices: Vec<Circle> = ctx.plan().devices().iter().map(|d| d.detection_circle()).collect();
+    let (mut topo_out, mut inside) = (0, 0);
+    for _ in 0..16 {
+        let a = devices[rng.random_range(0..devices.len())];
+        let b = devices[rng.random_range(0..devices.len())];
+        let ext = rng.random_range(0.5..15.0);
+        let ring = ConstrainedRing::indoor(Arc::clone(&ctx), a, ext);
+        let euclid = ConstrainedRing::euclidean(Ring::new(a, ext));
+        let gap = ExtendedEllipse::new(a, b, 0.0).boundary_gap();
+        let ellipse = ExtendedEllipse::new(a, b, gap + rng.random_range(0.5..12.0));
+        let theta = ConstrainedTheta::indoor(Arc::clone(&ctx), ellipse);
+        for _ in 0..150 {
+            let blk = random_block(rng, &ring.mbr());
+            if euclid.classify(&blk) != Some(false) && ring.classify(&blk) == Some(false) {
+                topo_out += 1;
+            }
+            let blk = random_block(rng, &ellipse.mbr());
+            if ConstrainedTheta::euclidean(ellipse).classify(&blk) != Some(false)
+                && theta.classify(&blk) == Some(false)
+            {
+                topo_out += 1;
+            }
+        }
+        inside += check_sound(&format!("{name}: constrained ring"), &ring, rng, 150).0[0];
+        inside += check_sound(&format!("{name}: constrained theta"), &theta, rng, 150).0[0];
+        let both = RegionIntersection::of(ring, ConstrainedRing::indoor(Arc::clone(&ctx), b, ext));
+        check_sound(&format!("{name}: ring ∩ ring"), &both, rng, 150);
+    }
+    assert!(topo_out > 0 && inside > 0, "{name}: {topo_out} topology-only outs, {inside} ins");
+}
+
+#[test]
+fn topology_verdicts_are_sound_on_every_plan() {
+    let mut rng = StdRng::seed_from_u64(0x70B0);
+    let synthetic = generate_synthetic(&SyntheticConfig::tiny());
+    let cph = generate_cph(&CphConfig::tiny());
+    for (name, plan) in [
+        ("synthetic", inflow::workload::build_floor_plan(&SyntheticConfig::tiny())),
+        ("cph", inflow::workload::build_airport_plan(&CphConfig::tiny()).0),
+        ("office", office_plan(6)),
+        ("library", library_plan(4)),
+        ("metro", metro_station_plan(3)),
+    ] {
+        check_topology_plan(name, plan, &mut rng);
+    }
+    // Whole uncertainty regions, snapshot and interval, and the
+    // per-POI views presence integrates over.
+    for (name, w) in [("synthetic", &synthetic), ("cph", &cph)] {
+        for topology_check in [false, true] {
+            let eng = engine(w, topology_check, GridResolution::COARSE);
+            for (ur, _) in sample_urs(w, &eng, &mut rng, 12) {
+                check_sound(&format!("{name} UR (topology {topology_check})"), &ur, &mut rng, 60);
+                for poi in
+                    w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())).take(3)
+                {
+                    let view = ur.restricted_to(&poi.mbr());
+                    check_sound(&format!("{name} restricted UR"), &view, &mut rng, 30);
+                }
+            }
+        }
+    }
+}
+
+fn engine(w: &Workload, topology_check: bool, resolution: GridResolution) -> UrEngine {
+    UrEngine::new(
+        w.ctx.clone(),
+        UrConfig { vmax: w.vmax, topology_check, resolution, ..UrConfig::default() },
+    )
+}
+
+/// Up to `count` snapshot and interval URs at seeded times, labelled.
+fn sample_urs(
+    w: &Workload,
+    eng: &UrEngine,
+    rng: &mut StdRng,
+    count: usize,
+) -> Vec<(inflow::uncertainty::UncertaintyRegion, String)> {
+    let objects: Vec<_> = w.ott.objects().collect();
+    let end = w.ott.records().iter().map(|r| r.te).fold(0.0, f64::max);
+    let mut out = Vec::new();
+    while out.len() < count {
+        let object = objects[rng.random_range(0..objects.len())];
+        let t = rng.random_range(0.0..end);
+        if out.len() % 2 == 0 {
+            if let Some(state) = w.ott.state_at(object, t) {
+                out.push((eng.snapshot_ur(&w.ott, state, t), format!("snapshot {object:?} t={t}")));
+            }
+        } else {
+            let te = t + rng.random_range(20.0..120.0);
+            if let Some(ur) = eng.interval_ur(&w.ott, object, t, te) {
+                out.push((ur, format!("interval {object:?} [{t}, {te}]")));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn classifying_integrator_is_bit_identical_to_probing_every_cell() {
+    let mut rng = StdRng::seed_from_u64(0xB171D);
+    let synthetic = generate_synthetic(&SyntheticConfig::tiny());
+    let cph = generate_cph(&CphConfig::tiny());
+    let (mut probes_fast, mut probes_all, mut pairs) = (0u64, 0u64, 0usize);
+    for (name, w) in [("synthetic", &synthetic), ("cph", &cph)] {
+        for topology_check in [false, true] {
+            for res in [GridResolution::COARSE, GridResolution::DEFAULT] {
+                let eng = engine(w, topology_check, res);
+                for (ur, label) in sample_urs(w, &eng, &mut rng, 10) {
+                    let what = format!("{name} {label} topology={topology_check} {res:?}");
+                    for poi in w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr()))
+                    {
+                        let view = ur.restricted_to(&poi.mbr());
+                        let p0 = integration_probes();
+                        let fast = area_in_polygon(&view, poi.extent(), res);
+                        let p1 = integration_probes();
+                        let reference = area_in_polygon(&Opaque(&view), poi.extent(), res);
+                        probes_fast += p1 - p0;
+                        probes_all += integration_probes() - p1;
+                        assert_eq!(
+                            fast.to_bits(),
+                            reference.to_bits(),
+                            "{what}, POI {:?}: {fast} vs {reference}",
+                            poi.id
+                        );
+                        let plain = per_cell_area(&view, poi.extent(), res);
+                        assert_eq!(
+                            fast.to_bits(),
+                            plain.to_bits(),
+                            "{what}, POI {:?}: {fast} vs per-cell {plain}",
+                            poi.id
+                        );
+                        // The view is what presence integrates.
+                        let presence = if view.mbr().is_empty() {
+                            0.0
+                        } else {
+                            (fast / poi.area()).clamp(0.0, 1.0)
+                        };
+                        assert_eq!(
+                            eng.presence(&ur, poi).to_bits(),
+                            presence.to_bits(),
+                            "{what}: presence"
+                        );
+                        let whole = area_in_polygon(&ur, poi.extent(), res);
+                        assert_eq!(
+                            whole.to_bits(),
+                            area_in_polygon(&Opaque(&ur), poi.extent(), res).to_bits(),
+                            "{what}: whole UR"
+                        );
+                        pairs += 1;
+                    }
+                    let own = area_of_region(&ur, res);
+                    assert_eq!(
+                        own.to_bits(),
+                        area_of_region(&Opaque(&ur), res).to_bits(),
+                        "{what}: UR area"
+                    );
+                }
+            }
+        }
+    }
+    assert!(pairs > 200, "only {pairs} (UR, POI) pairs compared");
+    assert!(
+        probes_fast * 3 < probes_all,
+        "classification settled too little: {probes_fast} of {probes_all} probes"
+    );
+}
+
+#[test]
+fn grid_area_matches_exact_circle_polygon() {
+    // Within 2% (or 0.02 m²) of the exact circle–polygon area.
+    let mut rng = StdRng::seed_from_u64(0xC12C);
+    for _ in 0..48 {
+        let circle = Circle::new(
+            Point::new(rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0)),
+            rng.random_range(0.3..4.0),
+        );
+        let (x0, y0) = (rng.random_range(-6.0..0.0), rng.random_range(-6.0..0.0));
+        let (w, h) = (rng.random_range(1.0..8.0), rng.random_range(1.0..8.0));
+        let poly = Polygon::rectangle(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
+        let exact = circle_polygon_area(&circle, &poly);
+        let approx = area_in_polygon(&circle, &poly, GridResolution::DEFAULT);
+        let tol = (0.02 * exact).max(0.02);
+        assert!(
+            (approx - exact).abs() <= tol,
+            "{circle:?} in {:?}: approx {approx} vs exact {exact}",
+            poly.mbr()
+        );
+    }
+}
+
+#[test]
+fn region_mbr_contains_members() {
+    // Every point a ring or extended ellipse admits lies inside its MBR.
+    let mut rng = StdRng::seed_from_u64(0x3B2);
+    let field = Mbr::new(Point::new(-40.0, -40.0), Point::new(40.0, 40.0));
+    let centres = Mbr::new(Point::new(-10.0, -10.0), Point::new(10.0, 10.0));
+    for _ in 0..48 {
+        let c1 = Circle::new(point_in(&mut rng, &centres), rng.random_range(0.2..2.0));
+        let c2 = Circle::new(point_in(&mut rng, &centres), rng.random_range(0.2..2.0));
+        let budget = rng.random_range(0.0..30.0);
+        let ring = Ring::new(c1, budget);
+        let theta = ExtendedEllipse::new(c1, c2, budget);
+        for _ in 0..64 {
+            // Half the probes uniform over the field, half near the shapes.
+            let probe = if rng.random_range(0..2usize) == 0 {
+                point_in(&mut rng, &field)
+            } else {
+                point_in(&mut rng, &ring.outer().mbr().expanded(1.0))
+            };
+            if ring.contains(probe) {
+                assert!(ring.mbr().contains(probe), "{ring:?} admits {probe} outside its MBR");
+            }
+            if !theta.is_empty() && theta.contains(probe) {
+                assert!(theta.mbr().contains(probe), "{theta:?} admits {probe} outside its MBR");
+            }
+        }
+    }
+}
+
+#[test]
+fn polygon_clip_area_is_consistent() {
+    // Clipping against a convex window never grows the area, and a
+    // rectangle ∩ rectangle matches the exact MBR intersection — by
+    // clipping and by the grid integrator.
+    let mut rng = StdRng::seed_from_u64(0xC11F);
+    for _ in 0..48 {
+        let (x0, y0) = (rng.random_range(-10.0..0.0), rng.random_range(-10.0..0.0));
+        let (w, h) = (rng.random_range(2.0..15.0), rng.random_range(2.0..15.0));
+        let (cx0, cy0) = (rng.random_range(-8.0..2.0), rng.random_range(-8.0..2.0));
+        let (cw, ch) = (rng.random_range(2.0..12.0), rng.random_range(2.0..12.0));
+        let subject = Polygon::rectangle(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
+        let clip = Polygon::rectangle(Point::new(cx0, cy0), Point::new(cx0 + cw, cy0 + ch));
+        let clipped_area = subject.intersection_area_convex(&clip);
+        assert!(clipped_area <= subject.area() + 1e-9);
+        assert!(clipped_area <= clip.area() + 1e-9);
+        let exact = subject.mbr().intersection(&clip.mbr()).area();
+        assert!((clipped_area - exact).abs() < 1e-6, "clip {clipped_area} vs exact {exact}");
+        let grid = area_in_polygon(&subject, &clip, GridResolution::DEFAULT);
+        assert!((grid - exact).abs() < 1e-6, "grid {grid} vs exact {exact}");
+    }
+}

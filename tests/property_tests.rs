@@ -4,13 +4,12 @@
 //! Gated behind the off-by-default `proptest` feature: the external
 //! `proptest` crate cannot be fetched in offline environments. To run,
 //! re-add `proptest = "1"` under `[dev-dependencies]` on a networked
-//! machine and `cargo test --features proptest`.
+//! machine and `cargo test --features proptest`. The integrator
+//! properties run unconditionally, on the in-tree generator, in
+//! `tests/presence_kernel.rs`.
 #![cfg(feature = "proptest")]
 
-use inflow::geometry::{
-    area_in_polygon, circle_polygon_area, Circle, ExtendedEllipse, GridResolution, Mbr, Point,
-    Polygon, Ring,
-};
+use inflow::geometry::{Circle, ExtendedEllipse, Mbr, Point};
 use inflow::indoor::DeviceId;
 use inflow::rtree::RTree;
 use inflow::tracking::{ObjectId, ObjectTrackingTable, OttRow};
@@ -27,27 +26,6 @@ fn arb_rect() -> impl Strategy<Value = Mbr> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The adaptive-grid integrator agrees with the exact circle–polygon
-    /// area within 2%.
-    #[test]
-    fn grid_area_matches_exact_circle_polygon(
-        cx in -5.0f64..5.0,
-        cy in -5.0f64..5.0,
-        r in 0.3f64..4.0,
-        x0 in -6.0f64..0.0,
-        y0 in -6.0f64..0.0,
-        w in 1.0f64..8.0,
-        h in 1.0f64..8.0,
-    ) {
-        let circle = Circle::new(Point::new(cx, cy), r);
-        let poly = Polygon::rectangle(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
-        let exact = circle_polygon_area(&circle, &poly);
-        let approx = area_in_polygon(&circle, &poly, GridResolution::DEFAULT);
-        let tol = (0.02 * exact).max(0.02);
-        prop_assert!((approx - exact).abs() <= tol,
-            "approx {approx} vs exact {exact}");
-    }
 
     /// MBR operations are consistent: union contains both, intersection is
     /// contained in both.
@@ -101,26 +79,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Every point a ring or ellipse admits lies inside its reported MBR.
-    #[test]
-    fn region_mbr_contains_members(
-        c1 in arb_point(10.0),
-        c2 in arb_point(10.0),
-        r1 in 0.2f64..2.0,
-        r2 in 0.2f64..2.0,
-        budget in 0.0f64..30.0,
-        probe in arb_point(40.0),
-    ) {
-        let ring = Ring::new(Circle::new(c1, r1), budget);
-        if ring.contains(probe) {
-            prop_assert!(ring.mbr().contains(probe));
-        }
-        let theta = ExtendedEllipse::new(Circle::new(c1, r1), Circle::new(c2, r2), budget);
-        if !theta.is_empty() && theta.contains(probe) {
-            prop_assert!(theta.mbr().contains(probe));
-        }
-    }
-
     /// The extended ellipse is monotone in its budget.
     #[test]
     fn theta_monotone_in_budget(
@@ -135,26 +93,6 @@ proptest! {
         if small.contains(probe) {
             prop_assert!(large.contains(probe));
         }
-    }
-
-    /// Polygon clipping against a convex window never increases area and
-    /// the clipped area matches the grid integrator.
-    #[test]
-    fn polygon_clip_area_is_consistent(
-        x0 in -10.0f64..0.0, y0 in -10.0f64..0.0,
-        w in 2.0f64..15.0, h in 2.0f64..15.0,
-        cx0 in -8.0f64..2.0, cy0 in -8.0f64..2.0,
-        cw in 2.0f64..12.0, ch in 2.0f64..12.0,
-    ) {
-        let subject = Polygon::rectangle(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
-        let clip = Polygon::rectangle(Point::new(cx0, cy0), Point::new(cx0 + cw, cy0 + ch));
-        let clipped_area = subject.intersection_area_convex(&clip);
-        prop_assert!(clipped_area <= subject.area() + 1e-9);
-        prop_assert!(clipped_area <= clip.area() + 1e-9);
-        // Rect ∩ rect has an exact answer via MBRs.
-        let exact = subject.mbr().intersection(&clip.mbr()).area();
-        prop_assert!((clipped_area - exact).abs() < 1e-6,
-            "clip {clipped_area} vs exact {exact}");
     }
 
     /// AR-tree point queries agree with the OTT state machine on random
