@@ -9,28 +9,34 @@
 //! identical areas), which keeps query results reproducible and lets the
 //! top-k algorithms compare flows exactly.
 //!
-//! The grid is walked as a quadtree over cell-index blocks. A block the
-//! region can classify as a whole ([`Region::classify`]) gets each cell's
-//! full or zero value without a single probe; only the cells no bound
-//! settles are probed, exactly as a plain per-cell pass would probe them.
-//! Per-cell values are summed in row-major order, so the result is the
-//! same `f64`, bit for bit, as probing every cell.
+//! The grid is walked as a quadtree over cell-index blocks. The integrand
+//! has two factors, the polygon and the region, and each classifies
+//! blocks on its own ([`Region::classify`]). A factor proven in for a
+//! block stays proven below it: it is neither classified nor tested
+//! again there. A block both factors prove in, or either proves out, gets
+//! each cell's full or zero value without a single probe; only the cells
+//! no bound settles are probed, at exactly the points a plain per-cell
+//! pass would probe, testing only the factors not yet proven. Per-cell
+//! values are summed in row-major order, so the result is the same
+//! `f64`, bit for bit, as probing every cell.
 
 use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::Polygon;
-use crate::region::{all_of, Region};
+use crate::region::Region;
 use std::cell::Cell;
 
 thread_local! {
     static PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Monotonic per-thread count of membership probes the grid integrator
-/// actually issued (corner lattice points, cell centres, super-samples).
-/// Blocks settled by [`Region::classify`] cost no probes, so the count
-/// falls as classification settles more of the grid; the classification
-/// calls themselves are not counted.
+/// Monotonic per-thread count of region probes the grid integrator
+/// actually issued: corner lattice points, cell centres and
+/// super-samples at which the region's membership test ran. Blocks
+/// settled by [`Region::classify`] cost no probes, and neither do
+/// polygon-only tests below a block where the region is already proven,
+/// so the count falls as classification settles more of the grid; the
+/// classification calls themselves are not counted.
 ///
 /// Observability hook: profilers snapshot it before and after a query
 /// and report the delta as "grid probes" — the number of point-in-region
@@ -71,6 +77,16 @@ impl Default for GridResolution {
     }
 }
 
+/// One factor of the integrand: a membership test and its block verdict.
+struct Factor<'a> {
+    contains: &'a dyn Fn(Point) -> bool,
+    classify: &'a dyn Fn(&Mbr) -> Option<bool>,
+}
+
+/// The factor that holds everywhere: the polygon of an integration over
+/// the region alone.
+const ANYWHERE: Factor<'static> = Factor { contains: &|_| true, classify: &|_| Some(true) };
+
 /// Area of `region ∩ polygon`.
 ///
 /// Integrates over `region.mbr() ∩ polygon.mbr()`. Cells whose four corners
@@ -86,11 +102,8 @@ pub fn area_in_polygon(
     // topology-constrained) region test, so it goes first. Its verdicts
     // hold for `contains_fast` too (see `Polygon`'s `classify`).
     integrate(
-        &|p| polygon.contains_fast(p) && region.contains(p),
-        &|b| match polygon.classify(b) {
-            Some(false) => Some(false),
-            v => all_of([v, region.classify(b)]),
-        },
+        Factor { contains: &|p| polygon.contains_fast(p), classify: &|b| polygon.classify(b) },
+        Factor { contains: &|p| region.contains(p), classify: &|b| region.classify(b) },
         window,
         res,
     )
@@ -98,20 +111,40 @@ pub fn area_in_polygon(
 
 /// Area of the region itself, integrated over its own MBR.
 pub fn area_of_region(region: &(impl Region + ?Sized), res: GridResolution) -> f64 {
-    integrate(&|p| region.contains(p), &|b| region.classify(b), region.mbr(), res)
+    area_in_window(region, region.mbr(), res)
 }
 
 /// Area of `region` restricted to an explicit window rectangle.
 pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridResolution) -> f64 {
     let window = region.mbr().intersection(&window);
-    integrate(&|p| region.contains(p), &|b| region.classify(b), window, res)
+    integrate(
+        ANYWHERE,
+        Factor { contains: &|p| region.contains(p), classify: &|b| region.classify(b) },
+        window,
+        res,
+    )
+}
+
+/// Which factors a verdict has proven in for a block and everything
+/// below it.
+#[derive(Debug, Clone, Copy)]
+struct Proven {
+    polygon: bool,
+    region: bool,
+}
+
+/// What the verdicts settle for one block.
+enum Block {
+    Out,
+    In,
+    Open(Proven),
 }
 
 /// One integration: the grid geometry, the memoised corner lattice and
 /// the per-cell values, filled block by block.
 struct Grid<'a> {
-    inside: &'a dyn Fn(Point) -> bool,
-    classify: &'a dyn Fn(&Mbr) -> Option<bool>,
+    polygon: Factor<'a>,
+    region: Factor<'a>,
     origin: Point,
     n: usize,
     dx: f64,
@@ -121,18 +154,14 @@ struct Grid<'a> {
     pad: f64,
     supersample: usize,
     cell_area: f64,
-    /// Memoised corner-lattice memberships, `None` until probed.
+    /// Memoised corner-lattice memberships of the whole integrand, `None`
+    /// until probed.
     corners: Vec<Option<bool>>,
     cells: Vec<f64>,
     probes: u64,
 }
 
-fn integrate(
-    inside: &dyn Fn(Point) -> bool,
-    classify: &dyn Fn(&Mbr) -> Option<bool>,
-    window: Mbr,
-    res: GridResolution,
-) -> f64 {
+fn integrate(polygon: Factor, region: Factor, window: Mbr, res: GridResolution) -> f64 {
     if window.is_empty() {
         return 0.0;
     }
@@ -147,8 +176,8 @@ fn integrate(
     let scale = 1.0
         + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
     let mut grid = Grid {
-        inside,
-        classify,
+        polygon,
+        region,
         origin: window.lo,
         n,
         dx,
@@ -156,11 +185,21 @@ fn integrate(
         pad: 1e-9 * scale,
         supersample: res.supersample,
         cell_area: dx * dy,
-        corners: vec![None; (n + 1) * (n + 1)],
-        cells: vec![0.0; n * n],
+        corners: Vec::new(),
+        cells: Vec::new(),
         probes: 0,
     };
-    grid.block(0, n, 0, n);
+    // The top block is settled before anything is allocated. A whole
+    // grid is the row-major sum of n² full cells, the same additions the
+    // cell vector would take.
+    let proven = match grid.classify(0, n, 0, n, Proven { polygon: false, region: false }) {
+        Block::Out => return 0.0,
+        Block::In => return (0..n * n).fold(0.0, |total, _| total + grid.cell_area),
+        Block::Open(proven) => proven,
+    };
+    grid.corners = vec![None; (n + 1) * (n + 1)];
+    grid.cells = vec![0.0; n * n];
+    grid.descend(0, n, 0, n, proven);
     PROBES.with(|c| c.set(c.get().wrapping_add(grid.probes)));
     // Row-major, the order of a plain per-cell pass. Every value is +0.0
     // or positive, so skipping the zero cells leaves the sum unchanged.
@@ -176,54 +215,94 @@ impl Grid<'_> {
         self.origin.y + self.dy * j as f64
     }
 
-    /// Settles the cells `[i0, i1) × [j0, j1)`: whole when the block
-    /// classifies, else by quadrants down to single cells.
-    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize) {
+    /// Classifies the padded block `[i0, i1) × [j0, j1)` by each factor
+    /// not already proven: out as soon as one factor is, in once both are.
+    fn classify(&self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) -> Block {
         let b = Mbr::from_bounds(
             Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
             Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
         );
-        match (self.classify)(&b) {
-            Some(true) => {
+        let mut proven = above;
+        for (done, factor) in
+            [(&mut proven.polygon, &self.polygon), (&mut proven.region, &self.region)]
+        {
+            if !*done {
+                match (factor.classify)(&b) {
+                    Some(false) => return Block::Out,
+                    Some(true) => *done = true,
+                    None => {}
+                }
+            }
+        }
+        if proven.polygon && proven.region {
+            Block::In
+        } else {
+            Block::Open(proven)
+        }
+    }
+
+    /// Settles the cells `[i0, i1) × [j0, j1)`: whole when the block
+    /// classifies, else as an open block.
+    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) {
+        match self.classify(i0, i1, j0, j1, above) {
+            Block::In => {
                 for j in j0..j1 {
                     self.cells[j * self.n + i0..j * self.n + i1].fill(self.cell_area);
                 }
             }
-            Some(false) => {}
-            None if i1 - i0 == 1 && j1 - j0 == 1 => self.leaf(i0, j0),
-            None => {
-                let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
-                let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
-                for (ja, jb) in [(j0, jm), (jm, j1)] {
-                    for (ia, ib) in [(i0, im), (im, i1)] {
-                        if ia < ib && ja < jb {
-                            self.block(ia, ib, ja, jb);
-                        }
-                    }
+            Block::Out => {}
+            Block::Open(proven) => self.descend(i0, i1, j0, j1, proven),
+        }
+    }
+
+    /// A block its verdicts leave open: probed when it is a single cell,
+    /// else split into quadrants that inherit `proven`.
+    fn descend(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, proven: Proven) {
+        if i1 - i0 == 1 && j1 - j0 == 1 {
+            return self.leaf(i0, j0, proven);
+        }
+        let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
+        let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
+        for (ja, jb) in [(j0, jm), (jm, j1)] {
+            for (ia, ib) in [(i0, im), (im, i1)] {
+                if ia < ib && ja < jb {
+                    self.block(ia, ib, ja, jb, proven);
                 }
             }
         }
     }
 
-    /// Membership of lattice corner `(i, j)`, probed at most once.
-    fn corner(&mut self, i: usize, j: usize) -> bool {
+    /// The integrand at `p`, a point of a block where `proven` holds:
+    /// only the factors not yet proven are tested, the cheap polygon
+    /// first, and only region tests count as probes.
+    fn inside(&mut self, p: Point, proven: Proven) -> bool {
+        (proven.polygon || (self.polygon.contains)(p))
+            && (proven.region || {
+                self.probes += 1;
+                (self.region.contains)(p)
+            })
+    }
+
+    /// Membership of lattice corner `(i, j)`, probed at most once. A
+    /// proven factor holds at the corner, so the memoised value is the
+    /// whole integrand's whichever block probed it.
+    fn corner(&mut self, i: usize, j: usize, proven: Proven) -> bool {
         let k = j * (self.n + 1) + i;
         if let Some(v) = self.corners[k] {
             return v;
         }
-        self.probes += 1;
-        let v = (self.inside)(Point::new(self.x(i), self.y(j)));
+        let v = self.inside(Point::new(self.x(i), self.y(j)), proven);
         self.corners[k] = Some(v);
         v
     }
 
     /// One unsettled cell: whole when its four corners and centre agree,
     /// else super-sampled at sub-cell centres.
-    fn leaf(&mut self, i: usize, j: usize) {
-        let c00 = self.corner(i, j);
-        let c10 = self.corner(i + 1, j);
-        let c01 = self.corner(i, j + 1);
-        let c11 = self.corner(i + 1, j + 1);
+    fn leaf(&mut self, i: usize, j: usize, proven: Proven) {
+        let c00 = self.corner(i, j, proven);
+        let c10 = self.corner(i + 1, j, proven);
+        let c01 = self.corner(i, j + 1, proven);
+        let c11 = self.corner(i + 1, j + 1, proven);
         let (dx, dy) = (self.dx, self.dy);
         let x0 = self.x(i);
         let y0 = self.y(j);
@@ -231,23 +310,23 @@ impl Grid<'_> {
         // centre could not change that, so it is only probed when they
         // agree. A uniform cell could still hide a thin feature; the base
         // resolution is chosen so features of interest span several cells.
-        if c00 == c10 && c00 == c01 && c00 == c11 {
-            self.probes += 1;
-            if (self.inside)(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy)) == c00 {
-                if c00 {
-                    self.cells[j * self.n + i] = self.cell_area;
-                }
-                return;
+        if c00 == c10
+            && c00 == c01
+            && c00 == c11
+            && self.inside(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy), proven) == c00
+        {
+            if c00 {
+                self.cells[j * self.n + i] = self.cell_area;
             }
+            return;
         }
         let s = self.supersample;
-        self.probes += (s * s) as u64;
         let mut hits = 0usize;
         for sj in 0..s {
             let y = y0 + dy * (sj as f64 + 0.5) / s as f64;
             for si in 0..s {
                 let x = x0 + dx * (si as f64 + 0.5) / s as f64;
-                if (self.inside)(Point::new(x, y)) {
+                if self.inside(Point::new(x, y), proven) {
                     hits += 1;
                 }
             }

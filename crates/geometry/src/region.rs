@@ -311,9 +311,9 @@ pub struct RegionIntersection {
 }
 
 impl RegionIntersection {
-    /// Builds the intersection of `parts`. An empty list is the (MBR-less)
-    /// universal region, which is almost never intended — callers should
-    /// supply at least one part.
+    /// Builds the intersection of `parts`. An empty list gets the `EMPTY`
+    /// MBR, which `contains` checks first, so it is the empty region —
+    /// callers should supply at least one part.
     pub fn new(parts: Vec<BoxedRegion>) -> RegionIntersection {
         let mbr =
             parts.iter().map(|r| r.mbr()).reduce(|a, b| a.intersection(&b)).unwrap_or(Mbr::EMPTY);

@@ -41,6 +41,12 @@ cargo test -q --test chaos --test robustness --offline
 echo "== presence kernel (block verdicts sound; integrator bit-identical to probing every cell)"
 cargo test -q --test presence_kernel --offline
 
+echo "== perfbench (the benchmark crate builds and passes its tests against this tree)"
+# perfbench is a workspace of its own that uses the crates by path, so
+# the workspace stages above never compile it.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== crash suite (deterministic failpoint sweep over the ingestion store)"
 cargo test -q --test crash --offline
 

@@ -2,8 +2,8 @@
 //!
 //! The integrator settles whole grid blocks with `Region::classify` and
 //! probes only the cells no verdict settles. Two properties make that
-//! safe, and both are checked here on seeded inputs from the in-tree
-//! `StdRng`:
+//! safe and a third makes it pay; all are checked here on seeded inputs
+//! from the in-tree `StdRng`:
 //!
 //! * **Soundness**: a verdict `classify(b) == Some(v)` agrees with
 //!   `contains` at a 5×5 lattice of `b` (corners and centre included), for
@@ -13,6 +13,9 @@
 //!   bit, as integrating an [`Opaque`] wrapper of it, which hides
 //!   `classify` and so probes every cell, and as [`per_cell_area`], the
 //!   plain per-cell pass written out here.
+//! * **Work**: below a block where the region is proven only the POI
+//!   polygon is tested, so a POI strictly inside the region costs no
+//!   region probe at all, while a region crossing the POI is probed.
 //!
 //! The integrator's accuracy properties (exact circle–polygon areas,
 //! MBR containment, rectangle clipping) live here too.
@@ -23,6 +26,7 @@ use inflow::geometry::{
     RegionUnion, Ring,
 };
 use inflow::indoor::FloorPlan;
+use inflow::tracking::ObjectState;
 use inflow::uncertainty::{ConstrainedRing, ConstrainedTheta, IndoorContext, UrConfig, UrEngine};
 use inflow::workload::rng::StdRng;
 use inflow::workload::{
@@ -280,28 +284,37 @@ fn engine(w: &Workload, topology_check: bool, resolution: GridResolution) -> UrE
     )
 }
 
-/// Up to `count` snapshot and interval URs at seeded times, labelled.
+/// Up to `count` URs at seeded times, labelled, cycling through three
+/// kinds: an inactive snapshot (ring ∩ ring, the bulk of long-visit
+/// work), any snapshot, and an interval.
 fn sample_urs(
     w: &Workload,
     eng: &UrEngine,
     rng: &mut StdRng,
     count: usize,
 ) -> Vec<(inflow::uncertainty::UncertaintyRegion, String)> {
-    let objects: Vec<_> = w.ott.objects().collect();
+    // `objects()` has no fixed order; sorting keeps the draw seeded.
+    let mut objects: Vec<_> = w.ott.objects().collect();
+    objects.sort_unstable();
     let end = w.ott.records().iter().map(|r| r.te).fold(0.0, f64::max);
     let mut out = Vec::new();
     while out.len() < count {
         let object = objects[rng.random_range(0..objects.len())];
         let t = rng.random_range(0.0..end);
-        if out.len() % 2 == 0 {
-            if let Some(state) = w.ott.state_at(object, t) {
+        match (out.len() % 3, w.ott.state_at(object, t)) {
+            (0, Some(state @ ObjectState::Inactive { .. })) => {
+                out.push((eng.snapshot_ur(&w.ott, state, t), format!("inactive {object:?} t={t}")));
+            }
+            (1, Some(state)) => {
                 out.push((eng.snapshot_ur(&w.ott, state, t), format!("snapshot {object:?} t={t}")));
             }
-        } else {
-            let te = t + rng.random_range(20.0..120.0);
-            if let Some(ur) = eng.interval_ur(&w.ott, object, t, te) {
-                out.push((ur, format!("interval {object:?} [{t}, {te}]")));
+            (2, _) => {
+                let te = t + rng.random_range(20.0..120.0);
+                if let Some(ur) = eng.interval_ur(&w.ott, object, t, te) {
+                    out.push((ur, format!("interval {object:?} [{t}, {te}]")));
+                }
             }
+            _ => {}
         }
     }
     out
@@ -313,11 +326,16 @@ fn classifying_integrator_is_bit_identical_to_probing_every_cell() {
     let synthetic = generate_synthetic(&SyntheticConfig::tiny());
     let cph = generate_cph(&CphConfig::tiny());
     let (mut probes_fast, mut probes_all, mut pairs) = (0u64, 0u64, 0usize);
-    for (name, w) in [("synthetic", &synthetic), ("cph", &cph)] {
+    // FINE has 6×6 super-samples, the only s² that is not a power of two;
+    // it is the slowest grid, so it runs on the synthetic plan alone and
+    // on fewer URs.
+    let all = [GridResolution::COARSE, GridResolution::DEFAULT, GridResolution::FINE];
+    for (name, w, resolutions) in [("synthetic", &synthetic, &all[..]), ("cph", &cph, &all[..2])] {
         for topology_check in [false, true] {
-            for res in [GridResolution::COARSE, GridResolution::DEFAULT] {
+            for &res in resolutions {
                 let eng = engine(w, topology_check, res);
-                for (ur, label) in sample_urs(w, &eng, &mut rng, 10) {
+                let count = if res == GridResolution::FINE { 6 } else { 10 };
+                for (ur, label) in sample_urs(w, &eng, &mut rng, count) {
                     let what = format!("{name} {label} topology={topology_check} {res:?}");
                     for poi in w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr()))
                     {
@@ -375,6 +393,75 @@ fn classifying_integrator_is_bit_identical_to_probing_every_cell() {
         probes_fast * 3 < probes_all,
         "classification settled too little: {probes_fast} of {probes_all} probes"
     );
+}
+
+/// `area_in_polygon` of `region` in `poi`, and the region probes it cost.
+fn probed_area(region: &dyn Region, poi: &Polygon, res: GridResolution) -> (f64, u64) {
+    let p0 = integration_probes();
+    let area = area_in_polygon(region, poi, res);
+    (area, integration_probes() - p0)
+}
+
+/// A POI strictly inside the region: the window is the POI's MBR, the
+/// region is proven over all of it, and only the POI rectangle is tested.
+fn assert_probe_free(what: &str, region: &dyn Region, poi: &Polygon, res: GridResolution) {
+    assert!(region.mbr().contains_mbr(&poi.mbr()), "{what}: window is not the POI's MBR");
+    let (area, probes) = probed_area(region, poi, res);
+    assert_eq!(probes, 0, "{what} {res:?}: {probes} region probes for a POI inside the region");
+    let reference = area_in_polygon(&Opaque(region), poi, res);
+    assert_eq!(area.to_bits(), reference.to_bits(), "{what} {res:?}: {area} vs {reference}");
+}
+
+/// A region whose boundary crosses the POI must still be probed.
+fn assert_probed(what: &str, region: &dyn Region, poi: &Polygon, res: GridResolution) {
+    let (area, probes) = probed_area(region, poi, res);
+    assert!(area > 0.0 && area < poi.area(), "{what}: {area} does not cross the POI");
+    assert!(probes > 0, "{what} {res:?}: a crossing region issued no probe");
+}
+
+#[test]
+fn proven_region_issues_no_probes() {
+    let poi = Polygon::rectangle(Point::new(1.5, -0.5), Point::new(2.5, 0.5));
+    let circle = Circle::new(Point::new(2.0, 0.0), 3.0);
+    let rings = RegionIntersection::of(
+        Ring::new(Circle::new(Point::new(0.0, 0.0), 1.0), 5.0),
+        Ring::new(Circle::new(Point::new(4.0, 0.0), 1.0), 5.0),
+    );
+    let crossing = Circle::new(Point::new(1.0, 0.0), 1.2);
+    for res in [GridResolution::COARSE, GridResolution::DEFAULT, GridResolution::FINE] {
+        assert_probe_free("circle", &circle, &poi, res);
+        assert_probe_free("ring ∩ ring", &rings, &poi, res);
+        assert_probed("crossing circle", &crossing, &poi, res);
+    }
+
+    // Topology-constrained inactive snapshot URs (every third sample) on
+    // the synthetic plan. A POI counts as inside when the UR proves it
+    // with a 1 cm margin.
+    let w = generate_synthetic(&SyntheticConfig::tiny());
+    let eng = engine(&w, true, GridResolution::COARSE);
+    let mut rng = StdRng::seed_from_u64(0x1AC7);
+    let (mut inside, mut crossed) = (0, 0);
+    for (ur, label) in sample_urs(&w, &eng, &mut rng, 60).iter().step_by(3) {
+        for poi in w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())) {
+            let view = ur.restricted_to(&poi.mbr());
+            let what = format!("{label}, POI {:?}", poi.id);
+            match view.classify(&poi.mbr().expanded(0.01)) {
+                Some(true) => {
+                    assert_probe_free(&what, &view, poi.extent(), GridResolution::COARSE);
+                    inside += 1;
+                }
+                None => {
+                    let (area, probes) = probed_area(&view, poi.extent(), GridResolution::COARSE);
+                    if area > 0.0 && area < poi.area() {
+                        assert!(probes > 0, "{what}: a crossing UR issued no probe");
+                        crossed += 1;
+                    }
+                }
+                Some(false) => {}
+            }
+        }
+    }
+    assert!(inside > 0 && crossed > 0, "{inside} POIs inside, {crossed} crossed");
 }
 
 #[test]
