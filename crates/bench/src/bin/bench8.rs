@@ -1,12 +1,15 @@
 //! The segment-tier overhead gate: `BENCH_8.json`.
 //!
-//! Runs the direct store-ingest benchmark twice — once against the PR 3
-//! WAL + snapshot layout, once with the immutable segment tier on
+//! Runs the direct store-ingest benchmark twice — once against the
+//! WAL + snapshot layout alone, once with the immutable segment tier on
 //! (background compaction plus the budgeted scrubber) — and writes one
 //! JSON document with both sides' ingest throughput and cold-start
 //! reopen time, plus the computed regression percentage and cold-start
-//! ratio. The acceptance bars are < 5% ingest regression with the tier
-//! on and a tiered cold start no slower than the snapshot reload.
+//! ratio. Cold start is reopen to ingest-ready: restore the newest
+//! snapshot's tracker state (snapshots carry no index), replay the WAL
+//! tail, and reconcile the manifest. The acceptance bars are < 5% ingest
+//! regression with the tier on and a tiered cold start no slower than
+//! the untiered reopen.
 //!
 //! ```text
 //! bench8 [--objects N] [--duration S] [--repeats N] [--smoke] [--out PATH]

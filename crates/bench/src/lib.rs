@@ -857,10 +857,10 @@ pub fn abl_noise(scale: &Scale) -> Series {
 
 /// Ablation: cold-start cost of making the AR-tree queryable after a
 /// restart — a full rebuild from the OTT versus reloading the flat
-/// serialization persisted in an ingestion-store snapshot (a bounds-check
+/// serialization a sealed segment file carries (a bounds-check
 /// validation pass, no per-entry sorting or tree construction). Column
-/// semantics: `iterative_ms` = rebuild from OTT, `join_ms` = snapshot
-/// reload.
+/// semantics: `iterative_ms` = rebuild from OTT, `join_ms` = flat reload
+/// from a segment's tree.
 pub fn abl_coldstart(scale: &Scale) -> Series {
     use inflow_tracking::ArTree;
     let mut rows = Vec::new();
@@ -893,7 +893,8 @@ pub fn abl_coldstart(scale: &Scale) -> Series {
     }
     Series {
         experiment: "abl-coldstart".into(),
-        x_label: "dataset size (iterative_ms = AR-tree rebuild, join_ms = snapshot reload)".into(),
+        x_label: "dataset size (iterative_ms = AR-tree rebuild, join_ms = segment flat reload)"
+            .into(),
         rows,
     }
 }
@@ -1226,13 +1227,13 @@ fn tier_ingest_run(
     drop(store);
     let throughput = readings.len() as f64 / elapsed.max(1e-9);
 
-    // Cold start = reopen to queryable, the shard-restart path: recover
-    // the snapshot + WAL tail and reconcile the manifest. (The loaded
-    // AR-tree image is what makes the store queryable without a rebuild.)
+    // Cold start = reopen to ingest-ready, the shard-restart path:
+    // restore the snapshot's tracker state, replay the WAL tail and
+    // reconcile the manifest.
     let t1 = Instant::now();
     let (reopened, report) = IngestStore::open(StdFs, &dir, OnlineTracker::new(MAX_GAP), opts)
         .expect("bench store reopen");
-    std::hint::black_box((report.segments, reopened.loaded_snapshot().is_some()));
+    std::hint::black_box((report.segments, reopened.seq()));
     let coldstart_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     drop(reopened);

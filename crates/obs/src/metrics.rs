@@ -137,6 +137,10 @@ pub enum Counter {
     /// One-shot DISTRIB protocol requests answered (full per-POI
     /// distribution detail).
     ServeDistribQueries,
+    /// Snapshot files written by the shard stores.
+    StoreSnapshots,
+    /// Bytes of the snapshot files written by the shard stores.
+    StoreSnapshotBytes,
     /// Compaction passes that changed the segment manifest (sealed or
     /// merged at least one segment).
     StoreCompactions,
@@ -159,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in display order.
-    pub const ALL: [Counter; 58] = [
+    pub const ALL: [Counter; 60] = [
         Counter::ObjectsConsidered,
         Counter::UrsBuilt,
         Counter::PresenceEvaluations,
@@ -211,6 +215,8 @@ impl Counter {
         Counter::ServeDistribSubscriptions,
         Counter::ServeLongvisitSubscriptions,
         Counter::ServeDistribQueries,
+        Counter::StoreSnapshots,
+        Counter::StoreSnapshotBytes,
         Counter::StoreCompactions,
         Counter::SegmentsSealed,
         Counter::SegmentsMerged,
@@ -274,6 +280,8 @@ impl Counter {
             Counter::ServeDistribSubscriptions => "serve_distrib_subscriptions",
             Counter::ServeLongvisitSubscriptions => "serve_longvisit_subscriptions",
             Counter::ServeDistribQueries => "serve_distrib_queries",
+            Counter::StoreSnapshots => "store_snapshots",
+            Counter::StoreSnapshotBytes => "store_snapshot_bytes",
             Counter::StoreCompactions => "store_compactions",
             Counter::SegmentsSealed => "segments_sealed",
             Counter::SegmentsMerged => "segments_merged",

@@ -214,7 +214,7 @@ impl ShardState {
             self.engine_tx.send(EngineMsg::Delta(DeltaBatch { shard: self.index, deltas, trace }));
     }
 
-    /// Folds segment-tier activity (compactions, scrub passes,
+    /// Folds store maintenance (snapshots, compactions, scrub passes,
     /// quarantines the store performed while ingesting) into the service
     /// counters and the flight recorder.
     fn drain_tier_events(&mut self) {
@@ -222,6 +222,8 @@ impl ShardState {
         if ev.is_empty() {
             return;
         }
+        self.metrics.add(Counter::StoreSnapshots, ev.snapshots);
+        self.metrics.add(Counter::StoreSnapshotBytes, ev.snapshot_bytes);
         self.metrics.add(Counter::StoreCompactions, ev.compactions);
         self.metrics.add(Counter::SegmentsSealed, ev.segments_sealed);
         self.metrics.add(Counter::SegmentsMerged, ev.segments_merged);

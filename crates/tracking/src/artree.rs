@@ -238,7 +238,8 @@ impl ArTree {
     /// followed by the entry array and the node array, both fixed-width
     /// little-endian records. Reloading ([`ArTree::from_flat_bytes`]) is a
     /// single bounds-check pass — no sort, no node construction — which
-    /// is what makes snapshot reload cheap compared to a §4.1 rebuild.
+    /// is what makes reloading a segment's tree cheap compared to a §4.1
+    /// rebuild.
     ///
     /// `ott_len` is the record count of the [`ObjectTrackingTable`] this
     /// tree indexes; it is stored so that a reloaded tree can be validated

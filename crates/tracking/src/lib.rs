@@ -43,7 +43,7 @@ pub use sanitize::{
 pub use store::{
     atomic_write, CompactionOutcome, FailpointFs, FailpointWriter, FrameErrorKind, Fs, FsckReport,
     HistoryView, IngestStore, Manifest, RecoveryReport, ScrubReport, Scrubber, SegmentEntry,
-    SegmentFault, SegmentFaultKind, SnapshotIndex, StdFs, StoreError, StoreOptions, TierEvents,
+    SegmentFault, SegmentFaultKind, StdFs, StoreError, StoreOptions, TierEvents,
 };
 pub use stream::{OnlineTracker, RestoreError, StreamError};
 

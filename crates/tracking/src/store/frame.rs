@@ -41,7 +41,9 @@ pub mod tag {
     pub const READING: u8 = 5;
     /// Snapshot metadata (`wal_seq`).
     pub const META: u8 = 6;
-    /// Serialized flat AR-tree (entry array + node array).
+    /// Serialized flat AR-tree (entry array + node array) over a
+    /// segment's rows. Older snapshot files carry one too; snapshot
+    /// decoding skips it.
     pub const ARTREE: u8 = 7;
     /// Commit marker: row counts, proving the file was written to the
     /// end. A file without it is torn by definition.
@@ -51,11 +53,15 @@ pub mod tag {
     pub const SEGMENT: u8 = 9;
 }
 
-/// CRC-32 (ISO-HDLC / zlib), table-driven, reflected, init and xorout
-/// `0xFFFF_FFFF`.
+/// CRC-32 (ISO-HDLC / zlib), reflected, init and xorout `0xFFFF_FFFF`,
+/// computed slice-by-8: each step folds eight bytes through eight
+/// compile-time tables, where `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes; the 0–7 byte tail goes bytewise through
+/// `TABLES[0]`. Same values as the one-table bytewise loop at about
+/// four times its throughput.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    const TABLES: [[u32; 256]; 8] = {
+        let mut tables = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -64,14 +70,32 @@ pub fn crc32(bytes: &[u8]) -> u32 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
                 k += 1;
             }
-            table[i] = c;
+            tables[0][i] = c;
             i += 1;
         }
-        table
+        let mut i = 0;
+        while i < 256 {
+            let mut k = 1;
+            while k < 8 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+                k += 1;
+            }
+            i += 1;
+        }
+        tables
     };
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let word = (u64::from_le_bytes(word) ^ u64::from(c)).to_le_bytes();
+        // Byte 0 has the most bytes after it: it goes through TABLES[7].
+        c = TABLES.iter().rev().zip(word).fold(0, |acc, (table, b)| acc ^ table[usize::from(b)]);
+    }
+    for &b in chunks.remainder() {
+        c = TABLES[0][usize::from(c as u8 ^ b)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

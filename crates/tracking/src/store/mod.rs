@@ -6,9 +6,9 @@
 //!
 //! * an append-only, CRC-checksummed, length-prefixed binary **WAL**
 //!   recording every raw reading ([`wal`]);
-//! * periodic **snapshot** files holding the complete tracker state plus
-//!   a flat-serialized AR-tree, so cold start is a checksum + bounds
-//!   check pass instead of a full index rebuild ([`snapshot`]);
+//! * periodic **snapshot** files holding the complete tracker state, so
+//!   recovery replays only the WAL tail past the newest one
+//!   ([`snapshot`]);
 //! * a **recovery** protocol: open the newest valid snapshot, replay the
 //!   WAL tail, detect torn or corrupt records via checksums and truncate
 //!   to the last valid record, reporting everything in a typed
@@ -268,11 +268,15 @@ impl RecoveryReport {
     }
 }
 
-/// Counts of tier-maintenance events since the last
-/// [`IngestStore::take_tier_events`] — the bridge from the obs-free
+/// Counts of store-maintenance events (snapshots and segment-tier work)
+/// since the last [`IngestStore::take_tier_events`] — the bridge from the obs-free
 /// tracking crate to the serving layer's counters and flight recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierEvents {
+    /// Snapshot files written.
+    pub snapshots: u64,
+    /// Bytes of the snapshot files written.
+    pub snapshot_bytes: u64,
     /// Compaction passes that changed the manifest.
     pub compactions: u64,
     /// New segments sealed from the hot tail.
@@ -294,19 +298,6 @@ impl TierEvents {
     pub fn is_empty(&self) -> bool {
         *self == TierEvents::default()
     }
-}
-
-/// The OTT + AR-tree image loaded from a snapshot during recovery —
-/// queryable immediately, without rebuilding the index (valid as of
-/// [`SnapshotIndex::wal_seq`]).
-#[derive(Debug)]
-pub struct SnapshotIndex {
-    /// WAL readings the image reflects.
-    pub wal_seq: u64,
-    /// The snapshot's OTT.
-    pub ott: ObjectTrackingTable,
-    /// The AR-tree reloaded from its flat serialization.
-    pub artree: crate::artree::ArTree,
 }
 
 /// The queryable history assembled from the tiered store: verified
@@ -344,7 +335,6 @@ pub struct IngestStore<F: Fs> {
     /// Readings ingested since the last scrub pass (drives auto-scrub).
     since_scrub: u64,
     opts: StoreOptions,
-    loaded: Option<SnapshotIndex>,
     /// The segment-tier manifest (empty for a WAL-only store).
     manifest: Manifest,
     scrubber: Scrubber,
@@ -411,7 +401,6 @@ impl<F: Fs> IngestStore<F> {
             None
         };
 
-        let mut loaded: Option<SnapshotIndex> = None;
         let (tracker, seq) = match (scan, best) {
             (Some(scan), best) => {
                 if scan.truncated > 0 {
@@ -434,11 +423,6 @@ impl<F: Fs> IngestStore<F> {
                                 report.replay_rejected += 1;
                             }
                         }
-                        loaded = Some(SnapshotIndex {
-                            wal_seq: snap.wal_seq,
-                            ott: snap.ott,
-                            artree: snap.artree,
-                        });
                         (tracker, durable)
                     }
                     // The snapshot is ahead of a damaged WAL: its state
@@ -449,11 +433,6 @@ impl<F: Fs> IngestStore<F> {
                         report.wal_truncated_bytes += scan.valid_len as u64;
                         let header = wal::encode_header(&snap.tracker, snap.wal_seq);
                         atomic_write(&fs, &wal_path, &header)?;
-                        loaded = Some(SnapshotIndex {
-                            wal_seq: snap.wal_seq,
-                            ott: snap.ott,
-                            artree: snap.artree,
-                        });
                         (snap.tracker, snap.wal_seq)
                     }
                     // No usable snapshot: replay the whole WAL from
@@ -484,11 +463,6 @@ impl<F: Fs> IngestStore<F> {
                 report.snapshot_seq = Some(snap.wal_seq);
                 let header = wal::encode_header(&snap.tracker, snap.wal_seq);
                 atomic_write(&fs, &wal_path, &header)?;
-                loaded = Some(SnapshotIndex {
-                    wal_seq: snap.wal_seq,
-                    ott: snap.ott,
-                    artree: snap.artree,
-                });
                 (snap.tracker, snap.wal_seq)
             }
             // Nothing usable at all: fresh store.
@@ -530,7 +504,6 @@ impl<F: Fs> IngestStore<F> {
                 since_snapshot,
                 since_scrub: 0,
                 opts,
-                loaded,
                 manifest: tier,
                 scrubber: Scrubber::new(),
                 events: TierEvents::default(),
@@ -617,10 +590,12 @@ impl<F: Fs> IngestStore<F> {
     /// prunes old snapshots down to [`StoreOptions::keep_snapshots`].
     pub fn snapshot(&mut self) -> Result<PathBuf, StoreError> {
         self.fs.sync(&mut self.wal)?;
-        let bytes = snapshot::encode(&self.tracker, self.seq)?;
+        let bytes = snapshot::encode(&self.tracker, self.seq);
         let path = self.dir.join(format!("snap-{:020}{}", self.seq, SNAPSHOT_SUFFIX));
         atomic_write(&self.fs, &path, &bytes)?;
         self.since_snapshot = 0;
+        self.events.snapshots += 1;
+        self.events.snapshot_bytes += bytes.len() as u64;
         let snaps = Self::files_with_suffix(&self.fs, &self.dir, SNAPSHOT_SUFFIX)?;
         if snaps.len() > self.opts.keep_snapshots {
             for old in snaps.get(..snaps.len() - self.opts.keep_snapshots).unwrap_or_default() {
@@ -818,8 +793,8 @@ impl<F: Fs> IngestStore<F> {
         &self.manifest
     }
 
-    /// Drains the tier-maintenance event counts accumulated since the
-    /// last call (compactions, scrub passes, quarantines).
+    /// Drains the maintenance event counts accumulated since the last
+    /// call (snapshots, compactions, scrub passes, quarantines).
     pub fn take_tier_events(&mut self) -> TierEvents {
         std::mem::take(&mut self.events)
     }
@@ -832,12 +807,6 @@ impl<F: Fs> IngestStore<F> {
     /// Total durable readings (absolute sequence).
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    /// The OTT + AR-tree image loaded from the recovered snapshot, if
-    /// recovery restored one. Queryable without any index rebuild.
-    pub fn loaded_snapshot(&self) -> Option<&SnapshotIndex> {
-        self.loaded.as_ref()
     }
 
     /// Snapshots current state and closes the store, returning the final

@@ -1,26 +1,27 @@
-//! Snapshot files: a point-in-time image of the tracker state, the OTT
-//! it implies, and a flat-serialized AR-tree over that OTT.
+//! Snapshot files: a point-in-time image of the tracker state.
 //!
 //! Layout:
 //!
 //! ```text
 //! "IFSNP001" | META (wal_seq: u64) | CONFIG | CLOSED_ROW* | OPEN_RUN*
-//!            | PENDING* | ARTREE | END (row counts)
+//!            | PENDING* | END (row counts)
 //! ```
 //!
 //! `wal_seq` is the absolute number of WAL readings the snapshot
 //! reflects; recovery replays WAL readings `wal_seq..` on top of it. The
-//! `ARTREE` frame carries the flat layout of
-//! [`ArTree::to_flat_bytes`] — entry array plus node array — so reload
-//! is a validation pass ([`ArTree::from_flat_bytes`]) instead of a full
-//! §4.1 rebuild. The `END` commit marker carries the row counts; a file
-//! without a matching marker is torn by definition and rejected whole —
-//! unlike the WAL there is no partial credit for a snapshot.
+//! frames after `META` are exactly those of a binary checkpoint
+//! ([`OnlineTracker::checkpoint`]). The `END` commit marker carries the
+//! row counts; a file without a matching marker is torn by definition and
+//! rejected whole — unlike the WAL there is no partial credit for a
+//! snapshot.
+//!
+//! Files written before snapshots stopped carrying an index hold an
+//! `ARTREE` frame just before `END`; decoding skips it unread. Recovery
+//! needs only the tracker state, and sealed segments keep their own
+//! frozen AR-trees ([`super::segment`]).
 
 use super::frame::{self, tag, Cursor, FrameReader};
 use super::StoreError;
-use crate::artree::ArTree;
-use crate::ott::ObjectTrackingTable;
 use crate::stream::{OnlineTracker, TrackerAssembler};
 
 /// Magic prefix of a snapshot file.
@@ -33,33 +34,21 @@ pub struct SnapshotState {
     pub wal_seq: u64,
     /// The tracker state at the snapshot point.
     pub tracker: OnlineTracker,
-    /// The OTT implied by the tracker state (closed rows plus open runs
-    /// closed as-of-now) — what the AR-tree's record pointers index.
-    pub ott: ObjectTrackingTable,
-    /// The AR-tree reloaded from its flat serialization.
-    pub artree: ArTree,
 }
 
 /// Serializes a snapshot of `tracker` taken after `wal_seq` readings.
-pub fn encode(tracker: &OnlineTracker, wal_seq: u64) -> Result<Vec<u8>, StoreError> {
-    let ott = tracker
-        .snapshot()
-        .map_err(|e| StoreError::InvalidState { reason: format!("snapshot OTT: {e}") })?;
-    let artree = ArTree::build(&ott);
+pub fn encode(tracker: &OnlineTracker, wal_seq: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     frame::write_frame(&mut buf, tag::META, &wal_seq.to_le_bytes());
-    tracker.write_state_frames(&mut buf);
-    frame::write_frame(&mut buf, tag::ARTREE, &artree.to_flat_bytes(ott.len()));
-    let (closed, open, pending) = tracker.state_counts();
-    frame::write_frame(&mut buf, tag::END, &frame::encode_counts(closed, open, pending));
-    Ok(buf)
+    tracker.write_committed_state(&mut buf);
+    buf
 }
 
 /// Decodes and validates a snapshot buffer. Strict: every frame must be
 /// present, in order, checksum-clean; the `END` counts must match the
-/// decoded state; the AR-tree must pass its structural validation and
-/// cover exactly the snapshot's OTT. Any deviation is a typed error.
+/// decoded state, and that state must imply a consistent OTT. Any
+/// deviation is a typed error.
 pub fn decode(bytes: &[u8]) -> Result<SnapshotState, StoreError> {
     if !bytes.starts_with(SNAPSHOT_MAGIC) {
         return Err(StoreError::BadMagic { what: "snapshot" });
@@ -81,7 +70,9 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, StoreError> {
     c.done()?;
 
     let mut asm = TrackerAssembler::new();
-    let mut artree_bytes: Option<&[u8]> = None;
+    // An older file's `ARTREE` frame: skipped unread, and only `END` may
+    // follow it.
+    let mut skipped_artree = false;
     let mut committed = false;
     for item in reader.by_ref() {
         let f = item?;
@@ -91,11 +82,11 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, StoreError> {
                 reason: "frame after END marker".into(),
             });
         }
-        if artree_bytes.is_none() && asm.apply(&f)? {
+        if !skipped_artree && asm.apply(&f)? {
             continue;
         }
         match f.tag {
-            tag::ARTREE if artree_bytes.is_none() => artree_bytes = Some(f.payload),
+            tag::ARTREE if !skipped_artree => skipped_artree = true,
             tag::END => {
                 let expected = frame::decode_counts(&f)?;
                 if expected != asm.counts() {
@@ -121,27 +112,11 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, StoreError> {
     if !committed {
         return Err(StoreError::MissingCommit { offset });
     }
-    let Some(artree_bytes) = artree_bytes else {
-        return Err(StoreError::Decode { offset, reason: "missing AR-tree frame".into() });
-    };
     let tracker = asm.finish(offset)?;
-    let ott = tracker
+    tracker
         .snapshot()
         .map_err(|e| StoreError::Decode { offset, reason: format!("inconsistent OTT: {e}") })?;
-    let (artree, ott_len) = ArTree::from_flat_bytes(artree_bytes)
-        .map_err(|e| StoreError::Decode { offset, reason: e.to_string() })?;
-    if ott_len != ott.len() || artree.len() != ott.len() {
-        return Err(StoreError::Decode {
-            offset,
-            reason: format!(
-                "AR-tree covers {} records over a {}-record OTT ({} entries)",
-                ott_len,
-                ott.len(),
-                artree.len()
-            ),
-        });
-    }
-    Ok(SnapshotState { wal_seq, tracker, ott, artree })
+    Ok(SnapshotState { wal_seq, tracker })
 }
 
 #[cfg(test)]
@@ -160,15 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_tracker_ott_and_artree() {
+    fn snapshot_round_trips_tracker_state() {
         let tracker = busy_tracker();
         let expected_ott = tracker.snapshot().unwrap();
-        let bytes = encode(&tracker, 5).unwrap();
+        let bytes = encode(&tracker, 5);
         let snap = decode(&bytes).unwrap();
         assert_eq!(snap.wal_seq, 5);
-        assert_eq!(snap.ott.records(), expected_ott.records());
-        let rebuilt = ArTree::build(&snap.ott);
-        assert_eq!(snap.artree.entries(), rebuilt.entries());
+        assert_eq!(snap.tracker.snapshot().unwrap().records(), expected_ott.records());
         // The restored tracker checkpoints byte-identically.
         let (mut a, mut b) = (Vec::new(), Vec::new());
         tracker.checkpoint(&mut a).unwrap();
@@ -179,16 +152,15 @@ mod tests {
     #[test]
     fn empty_tracker_snapshot_round_trips() {
         let tracker = OnlineTracker::new(1.0);
-        let bytes = encode(&tracker, 0).unwrap();
+        let bytes = encode(&tracker, 0);
         let snap = decode(&bytes).unwrap();
         assert_eq!(snap.wal_seq, 0);
-        assert!(snap.ott.is_empty());
-        assert!(snap.artree.is_empty());
+        assert!(snap.tracker.snapshot().unwrap().is_empty());
     }
 
     #[test]
     fn truncation_at_every_byte_is_rejected() {
-        let bytes = encode(&busy_tracker(), 5).unwrap();
+        let bytes = encode(&busy_tracker(), 5);
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "prefix {cut}/{} accepted", bytes.len());
         }
@@ -197,7 +169,7 @@ mod tests {
     #[test]
     fn bit_flip_anywhere_is_rejected_or_harmless_never_wrong() {
         let tracker = busy_tracker();
-        let bytes = encode(&tracker, 5).unwrap();
+        let bytes = encode(&tracker, 5);
         let expected_ott = tracker.snapshot().unwrap();
         for i in 0..bytes.len() {
             for bit in [0, 5] {
@@ -211,7 +183,7 @@ mod tests {
                     Ok(snap) => {
                         panic!(
                             "flip at byte {i} bit {bit} decoded; ott match: {}",
-                            snap.ott.records() == expected_ott.records()
+                            snap.tracker.snapshot().unwrap().records() == expected_ott.records()
                         );
                     }
                 }

@@ -348,18 +348,17 @@ impl OnlineTracker {
     /// the lateness bound, since a buffered reading may still extend a run.
     pub fn expire_stale_runs(&mut self) -> usize {
         let watermark = self.watermark - self.lateness.unwrap_or(0.0);
-        let max_gap = self.max_gap;
-        let closed = &mut self.closed;
-        let before = self.open.len();
-        self.open.retain(|&object, run| {
-            if watermark - run.te > max_gap {
-                closed.push(OttRow { object, device: run.device, ts: run.ts, te: run.te });
-                false
-            } else {
-                true
+        let mut expired = 0;
+        // By object, not map order: the closed log (and every file
+        // serialized from it) must not depend on a hasher's seed.
+        for (object, run) in self.sorted_open() {
+            if watermark - run.te > self.max_gap {
+                self.open.remove(&object);
+                self.closed.push(OttRow { object, device: run.device, ts: run.ts, te: run.te });
+                expired += 1;
             }
-        });
-        before - self.open.len()
+        }
+        expired
     }
 
     /// Snapshots a queryable OTT from everything *applied* so far: closed
@@ -460,11 +459,13 @@ impl OnlineTracker {
         Ok(tracker)
     }
 
-    /// Appends the tracker's complete state as checksummed frames:
+    /// Appends the tracker's complete state as checksummed frames —
     /// `CONFIG`, closed rows, open runs (sorted by object), buffered
-    /// readings (sorted by time). Deterministic: identical state encodes
-    /// to identical bytes.
-    pub(crate) fn write_state_frames(&self, out: &mut Vec<u8>) {
+    /// readings (sorted by time) — and the `END` commit marker carrying
+    /// the (closed, open, pending) row counts: everything a checkpoint or
+    /// snapshot holds after its header. Deterministic: identical state
+    /// encodes to identical bytes.
+    pub(crate) fn write_committed_state(&self, out: &mut Vec<u8>) {
         frame::write_frame(out, tag::CONFIG, &self.encode_config());
         for row in &self.closed {
             frame::write_frame(out, tag::CLOSED_ROW, &frame::encode_row(row));
@@ -476,11 +477,9 @@ impl OnlineTracker {
         for r in self.sorted_pending() {
             frame::write_frame(out, tag::PENDING, &frame::encode_reading(&r));
         }
-    }
-
-    /// Row counts for the `END` commit marker: (closed, open, pending).
-    pub(crate) fn state_counts(&self) -> (u64, u64, u64) {
-        (self.closed.len() as u64, self.open.len() as u64, self.pending.len() as u64)
+        let (closed, open, pending) =
+            (self.closed.len() as u64, self.open.len() as u64, self.pending.len() as u64);
+        frame::write_frame(out, tag::END, &frame::encode_counts(closed, open, pending));
     }
 
     /// Serializes the complete tracker state — configuration, closed rows,
@@ -496,9 +495,7 @@ impl OnlineTracker {
     pub fn checkpoint(&self, out: &mut impl Write) -> io::Result<()> {
         let mut buf = Vec::new();
         buf.extend_from_slice(CHECKPOINT_MAGIC);
-        self.write_state_frames(&mut buf);
-        let (closed, open, pending) = self.state_counts();
-        frame::write_frame(&mut buf, tag::END, &frame::encode_counts(closed, open, pending));
+        self.write_committed_state(&mut buf);
         out.write_all(&buf)
     }
 
@@ -511,9 +508,7 @@ impl OnlineTracker {
     pub fn state_hash(&self) -> u64 {
         let mut buf = Vec::new();
         buf.extend_from_slice(CHECKPOINT_MAGIC);
-        self.write_state_frames(&mut buf);
-        let (closed, open, pending) = self.state_counts();
-        frame::write_frame(&mut buf, tag::END, &frame::encode_counts(closed, open, pending));
+        self.write_committed_state(&mut buf);
         fnv1a(&buf)
     }
 

@@ -92,21 +92,26 @@ echo "   replay-perf: canonical workload replayed in ${RP_MS} ms"
 rm -rf "$RP_WORK"
 trap - EXIT
 
-echo "== bench6 (tracing/flight-recorder overhead -> BENCH_6.json)"
-cargo run -q --release -p inflow-bench --bin bench6 --offline -- --smoke --out BENCH_6.json
-cat BENCH_6.json
+# Bench documents go under target/bench: the committed BENCH_*.json at
+# the repo root are the measured trail, and a CI run must not rewrite them.
+BENCH_OUT=target/bench
+mkdir -p "$BENCH_OUT"
 
-echo "== bench7 (replay-recorder overhead -> BENCH_7.json)"
-cargo run -q --release -p inflow-bench --bin bench7 --offline -- --smoke --out BENCH_7.json
-cat BENCH_7.json
+echo "== bench6 (tracing/flight-recorder overhead -> $BENCH_OUT/BENCH_6.json)"
+cargo run -q --release -p inflow-bench --bin bench6 --offline -- --smoke --out "$BENCH_OUT/BENCH_6.json"
+cat "$BENCH_OUT/BENCH_6.json"
 
-echo "== bench8 (segment-tier overhead + cold start -> BENCH_8.json)"
-cargo run -q --release -p inflow-bench --bin bench8 --offline -- --smoke --out BENCH_8.json
-cat BENCH_8.json
+echo "== bench7 (replay-recorder overhead -> $BENCH_OUT/BENCH_7.json)"
+cargo run -q --release -p inflow-bench --bin bench7 --offline -- --smoke --out "$BENCH_OUT/BENCH_7.json"
+cat "$BENCH_OUT/BENCH_7.json"
 
-echo "== bench9 (distrib-subscription overhead -> BENCH_9.json)"
-cargo run -q --release -p inflow-bench --bin bench9 --offline -- --objects 120 --duration 900 --repeats 3 --out BENCH_9.json
-cat BENCH_9.json
+echo "== bench8 (segment-tier overhead + cold start -> $BENCH_OUT/BENCH_8.json)"
+cargo run -q --release -p inflow-bench --bin bench8 --offline -- --smoke --out "$BENCH_OUT/BENCH_8.json"
+cat "$BENCH_OUT/BENCH_8.json"
+
+echo "== bench9 (distrib-subscription overhead -> $BENCH_OUT/BENCH_9.json)"
+cargo run -q --release -p inflow-bench --bin bench9 --offline -- --objects 120 --duration 900 --repeats 3 --out "$BENCH_OUT/BENCH_9.json"
+cat "$BENCH_OUT/BENCH_9.json"
 
 # Opt-in sanitizer stages. Both need a nightly toolchain with the matching
 # components (rustup component add miri / -Z sanitizer support), so they

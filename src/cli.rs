@@ -1614,14 +1614,17 @@ fn render_top(
             );
         }
     }
-    // Always-on tier summary (even all-zero): the one-line health view
-    // of compaction and scrubbing across every shard store.
+    // Always-on store summary (even all-zero): the one-line health view
+    // of snapshots, compaction and scrubbing across every shard store.
     let counter =
         |name: &str| snap.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0);
     let _ = writeln!(
         out,
-        "\nsegment tier: {} compaction(s) ({} sealed, {} merged); \
+        "\nsnapshots: {} written ({} bytes)\n\
+         segment tier: {} compaction(s) ({} sealed, {} merged); \
          {} scrub pass(es), {} corruption(s), {} quarantined",
+        counter("store_snapshots"),
+        counter("store_snapshot_bytes"),
         counter("store_compactions"),
         counter("segments_sealed"),
         counter("segments_merged"),

@@ -505,11 +505,11 @@ fn metrics_snapshot_is_well_formed() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// With an aggressive segment tier (tiny compact/scrub cadences), the
-/// serving pipeline seals and scrubs under load, shard crash/restart
-/// reopens the segmented stores and reconverges, and the tier's
-/// activity is visible in `ServiceMetrics`, the `METRICS` payload and
-/// the flight recorder.
+/// With an aggressive segment tier (tiny snapshot/compact/scrub
+/// cadences), the serving pipeline snapshots, seals and scrubs under
+/// load, shard crash/restart reopens the segmented stores and
+/// reconverges, and the store's activity is visible in
+/// `ServiceMetrics`, the `METRICS` payload and the flight recorder.
 #[test]
 fn segment_tier_runs_under_serving_load() {
     let w = small_workload();
@@ -520,6 +520,7 @@ fn segment_tier_runs_under_serving_load() {
         shards: 2,
         max_gap: MAX_GAP,
         ur: ur_config(&w),
+        snapshot_every: Some(16),
         compact_every: Some(16),
         scrub_every: Some(32),
         ..ServeConfig::new(dir.clone())
@@ -527,6 +528,7 @@ fn segment_tier_runs_under_serving_load() {
     let handle = Server::start(Arc::clone(&w.ctx), cfg).expect("server start");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let half = readings.len() / 2;
+    assert!(half > 2 * 16, "each shard's stream must pass snapshot_every");
     client.publish(&readings[..half]).expect("publish first half");
     client.barrier().expect("barrier");
     // Crash + restart shard 0 mid-stream: reopening a segmented store
@@ -544,6 +546,8 @@ fn segment_tier_runs_under_serving_load() {
     assert_ranked_eq(&got, &want, "one-shot snapshot over the tiered stores");
 
     let m = handle.metrics();
+    assert!(m.counter(Counter::StoreSnapshots) > 0, "no snapshot written");
+    assert!(m.counter(Counter::StoreSnapshotBytes) > 0, "snapshot bytes not counted");
     assert!(m.counter(Counter::StoreCompactions) > 0, "no compaction ran");
     assert!(m.counter(Counter::SegmentsSealed) > 0, "no segments sealed");
     assert!(m.counter(Counter::ScrubPasses) > 0, "no scrub pass ran");
@@ -552,10 +556,12 @@ fn segment_tier_runs_under_serving_load() {
 
     let snap = Json::parse(&client.metrics_json().expect("metrics_json")).expect("valid json");
     let counters = snap.get("counters").and_then(|c| c.as_obj()).expect("counters object");
-    assert!(
-        counters.get("store_compactions").and_then(|v| v.as_u64()).unwrap_or(0) > 0,
-        "tier counters must ride the METRICS payload"
-    );
+    for name in ["store_snapshots", "store_snapshot_bytes", "store_compactions"] {
+        assert!(
+            counters.get(name).and_then(|v| v.as_u64()).unwrap_or(0) > 0,
+            "store counter {name} must ride the METRICS payload"
+        );
+    }
     let dump = client.flight_dump().expect("flight dump");
     assert!(dump.contains("compaction_run"), "flight dump lacks compaction events");
     assert!(dump.contains("scrub_pass"), "flight dump lacks scrub events");
