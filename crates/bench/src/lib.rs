@@ -855,50 +855,6 @@ pub fn abl_noise(scale: &Scale) -> Series {
     }
 }
 
-/// Ablation: cold-start cost of making the AR-tree queryable after a
-/// restart — a full rebuild from the OTT versus reloading the flat
-/// serialization a sealed segment file carries (a bounds-check
-/// validation pass, no per-entry sorting or tree construction). Column
-/// semantics: `iterative_ms` = rebuild from OTT, `join_ms` = flat reload
-/// from a segment's tree.
-pub fn abl_coldstart(scale: &Scale) -> Series {
-    use inflow_tracking::ArTree;
-    let mut rows = Vec::new();
-    for divisor in [4usize, 2, 1] {
-        let mut cfg = base_synthetic(scale);
-        cfg.num_objects = (scale.objects / divisor).max(1);
-        let w = generate_synthetic(&cfg);
-        let flat = ArTree::build(&w.ott).to_flat_bytes(w.ott.len());
-        let rebuild = median(
-            (0..scale.repeats.max(1))
-                .map(|_| {
-                    let t0 = Instant::now();
-                    std::hint::black_box(ArTree::build(&w.ott));
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .collect(),
-        );
-        let reload = median(
-            (0..scale.repeats.max(1))
-                .map(|_| {
-                    let t0 = Instant::now();
-                    std::hint::black_box(
-                        ArTree::from_flat_bytes(&flat).expect("own serialization reloads"),
-                    );
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .collect(),
-        );
-        rows.push(Row::timing(format!("{} objects", cfg.num_objects), rebuild, reload));
-    }
-    Series {
-        experiment: "abl-coldstart".into(),
-        x_label: "dataset size (iterative_ms = AR-tree rebuild, join_ms = segment flat reload)"
-            .into(),
-        rows,
-    }
-}
-
 /// Probabilistic count-distribution query cost vs the convolution
 /// truncation bound `kmax` and the object count. Column semantics:
 /// `iterative_ms` = snapshot-form distribution query (`DistribQuery::at`),
@@ -1407,7 +1363,7 @@ pub fn bench9_json(scale: &Scale) -> String {
 }
 
 /// All experiment ids in suite order.
-pub const ALL_EXPERIMENTS: [&str; 22] = [
+pub const ALL_EXPERIMENTS: [&str; 21] = [
     "f10a",
     "f10b",
     "f11a",
@@ -1427,7 +1383,6 @@ pub const ALL_EXPERIMENTS: [&str; 22] = [
     "abl-grid",
     "abl-accuracy",
     "abl-noise",
-    "abl-coldstart",
     "abl-serve",
     "abl-distrib",
 ];
@@ -1454,7 +1409,6 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Option<Series> {
         "abl-grid" => abl_grid(scale),
         "abl-accuracy" => abl_accuracy(scale),
         "abl-noise" => abl_noise(scale),
-        "abl-coldstart" => abl_coldstart(scale),
         "abl-serve" => abl_serve(scale),
         "abl-distrib" => abl_distrib(scale),
         _ => return None,
@@ -1497,15 +1451,6 @@ mod tests {
         for r in &s.rows {
             assert!((0.0..=1.0).contains(&r.iterative_ms), "{:?}", r);
             assert!((0.0..=1.0).contains(&r.join_ms), "{:?}", r);
-        }
-    }
-
-    #[test]
-    fn smoke_run_abl_coldstart() {
-        let s = run_experiment("abl-coldstart", &Scale::smoke()).unwrap();
-        assert_eq!(s.rows.len(), 3, "one row per dataset size");
-        for r in &s.rows {
-            assert!(r.iterative_ms >= 0.0 && r.join_ms >= 0.0, "{:?}", r);
         }
     }
 

@@ -357,8 +357,9 @@ fn il004_format_magic(f: &SourceFile, out: &mut Vec<Finding>) {
                     path: f.rel.clone(),
                     line: t.line,
                     message: "format magic literal duplicated outside its const definition".into(),
-                    hint: "reference WAL_MAGIC / SNAPSHOT_MAGIC / CHECKPOINT_MAGIC; a \
-                           re-spelled literal lets the formats drift apart silently",
+                    hint: "reference WAL_MAGIC / SNAPSHOT_MAGIC / SEGMENT_MAGIC (or the \
+                           STATE_HASH_MAGIC hash prefix); a re-spelled literal lets the \
+                           formats drift apart silently",
                 });
             }
         }

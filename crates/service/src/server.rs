@@ -769,8 +769,8 @@ fn handle_flight(shared: &Shared, conn_id: u64, writer: &Sender<Vec<u8>>) {
 }
 
 /// `STATE_HASH`: a barrier plus a deterministic digest of the whole
-/// pipeline — every shard tracker's canonical checkpoint encoding and
-/// the engine's rows + per-subscription answers. The record/replay
+/// pipeline — every shard tracker's `state_hash` (its committed-state
+/// encoding) and the engine's rows + per-subscription answers. The record/replay
 /// verifier compares these digests at every recorded barrier.
 ///
 /// Ordering: the flush guarantees every prior publish's deltas are

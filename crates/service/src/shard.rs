@@ -76,8 +76,8 @@ pub enum ShardMsg {
     /// Ack once every prior message is applied and its deltas are
     /// enqueued to the engine (the barrier protocol's first half).
     Flush(Sender<()>),
-    /// Reply with the FNV-1a digest of this shard's tracker state (the
-    /// canonical checkpoint encoding) — the replay verifier's per-shard
+    /// Reply with the FNV-1a digest of this shard's tracker state
+    /// (`OnlineTracker::state_hash`) — the replay verifier's per-shard
     /// hash point. A crashed worker never answers; callers time out and
     /// record the sentinel 0.
     StateHash(Sender<u64>),

@@ -66,22 +66,6 @@ struct ArNode {
     leaf: bool,
 }
 
-/// A structural defect found while reloading a flat-serialized tree
-/// ([`ArTree::from_flat_bytes`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatTreeError {
-    /// What invariant the blob violated.
-    pub reason: String,
-}
-
-impl std::fmt::Display for FlatTreeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid flat AR-tree: {}", self.reason)
-    }
-}
-
-impl std::error::Error for FlatTreeError {}
-
 /// The static AR-tree over an [`ObjectTrackingTable`].
 #[derive(Debug)]
 pub struct ArTree {
@@ -114,7 +98,7 @@ impl ArTree {
         }
         // Total order (t1, object, record): object iteration above is
         // hash-ordered, and a deterministic entry array is what makes two
-        // builds over equal OTTs byte-identical when serialized.
+        // builds over equal OTTs return query hits in the same order.
         entries.sort_by(|a, b| {
             a.t1.total_cmp(&b.t1)
                 .then_with(|| a.object.cmp(&b.object))
@@ -231,150 +215,6 @@ impl ArTree {
             }
         }
         out
-    }
-
-    /// Serializes the tree into a flat, position-independent byte layout:
-    /// a fixed header (`ott_len`, entry count, node count, root index)
-    /// followed by the entry array and the node array, both fixed-width
-    /// little-endian records. Reloading ([`ArTree::from_flat_bytes`]) is a
-    /// single bounds-check pass — no sort, no node construction — which
-    /// is what makes reloading a segment's tree cheap compared to a §4.1
-    /// rebuild.
-    ///
-    /// `ott_len` is the record count of the [`ObjectTrackingTable`] this
-    /// tree indexes; it is stored so that a reloaded tree can be validated
-    /// against the table it is paired with.
-    pub fn to_flat_bytes(&self, ott_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * 29 + self.nodes.len() * 25);
-        out.extend_from_slice(&(ott_len as u32).to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.root as u32).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.t1.to_le_bytes());
-            out.extend_from_slice(&e.t2.to_le_bytes());
-            out.push(e.closed_start as u8);
-            out.extend_from_slice(&e.pred.map_or(u32::MAX, |p| p.0).to_le_bytes());
-            out.extend_from_slice(&e.cur.0.to_le_bytes());
-            out.extend_from_slice(&e.object.0.to_le_bytes());
-        }
-        for n in &self.nodes {
-            out.extend_from_slice(&n.tmin.to_le_bytes());
-            out.extend_from_slice(&n.tmax.to_le_bytes());
-            out.extend_from_slice(&n.first.to_le_bytes());
-            out.extend_from_slice(&n.count.to_le_bytes());
-            out.push(n.leaf as u8);
-        }
-        out
-    }
-
-    /// Reloads a tree serialized by [`ArTree::to_flat_bytes`], returning
-    /// it together with the stored `ott_len`. Every structural invariant
-    /// the query paths rely on is re-validated — index ranges, finite and
-    /// ordered interval endpoints, child ranges that terminate — so a
-    /// corrupted or truncated blob yields a typed error, never a panic or
-    /// a silently wrong tree.
-    pub fn from_flat_bytes(bytes: &[u8]) -> Result<(ArTree, usize), FlatTreeError> {
-        let fail = |reason: &str| Err(FlatTreeError { reason: reason.to_string() });
-        if bytes.len() < 16 {
-            return fail("blob shorter than header");
-        }
-        let word = |i: usize| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&bytes[i * 4..i * 4 + 4]);
-            u32::from_le_bytes(b)
-        };
-        let (ott_len, entry_count, node_count, root) =
-            (word(0) as usize, word(1) as usize, word(2) as usize, word(3) as usize);
-        let expect = 16usize
-            .checked_add(
-                entry_count
-                    .checked_mul(29)
-                    .ok_or_else(|| FlatTreeError { reason: "entry count overflows".into() })?,
-            )
-            .and_then(|n| n.checked_add(node_count.checked_mul(25)?))
-            .ok_or_else(|| FlatTreeError { reason: "size overflows".into() })?;
-        if bytes.len() != expect {
-            return fail("blob length does not match header counts");
-        }
-        if node_count == 0 || root != node_count - 1 {
-            return fail("root must be the last node");
-        }
-        if entry_count == 0 && node_count != 1 {
-            return fail("empty tree must have exactly the sentinel node");
-        }
-
-        let f64_at = |p: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[p..p + 8]);
-            f64::from_le_bytes(b)
-        };
-        let u32_at = |p: usize| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&bytes[p..p + 4]);
-            u32::from_le_bytes(b)
-        };
-        let mut entries = Vec::with_capacity(entry_count);
-        let mut p = 16;
-        let mut prev_t1 = f64::NEG_INFINITY;
-        for _ in 0..entry_count {
-            let (t1, t2) = (f64_at(p), f64_at(p + 8));
-            let closed_start = match bytes[p + 16] {
-                0 => false,
-                1 => true,
-                _ => return fail("bad closed_start flag"),
-            };
-            let pred_raw = u32_at(p + 17);
-            let cur = u32_at(p + 21);
-            let object = u32_at(p + 25);
-            p += 29;
-            if !(t1.is_finite() && t2.is_finite()) || t2 < t1 {
-                return fail("entry interval not finite and ordered");
-            }
-            if t1 < prev_t1 {
-                return fail("entries not sorted by t1");
-            }
-            prev_t1 = t1;
-            if cur as usize >= ott_len || (pred_raw != u32::MAX && pred_raw as usize >= ott_len) {
-                return fail("entry record pointer out of range");
-            }
-            entries.push(ArTreeEntry {
-                t1,
-                t2,
-                closed_start,
-                pred: (pred_raw != u32::MAX).then_some(RecordId(pred_raw)),
-                cur: RecordId(cur),
-                object: ObjectId(object),
-            });
-        }
-        let mut nodes = Vec::with_capacity(node_count);
-        for idx in 0..node_count {
-            let (tmin, tmax) = (f64_at(p), f64_at(p + 8));
-            let (first, count) = (u32_at(p + 16), u32_at(p + 20));
-            let leaf = match bytes[p + 24] {
-                0 => false,
-                1 => true,
-                _ => return fail("bad leaf flag"),
-            };
-            p += 25;
-            if tmin.is_nan() || tmax.is_nan() {
-                return fail("node bounds are NaN");
-            }
-            let end = (first as usize).checked_add(count as usize);
-            let in_range = match (leaf, end) {
-                (true, Some(end)) => end <= entry_count,
-                // Children of an internal node live strictly before it in
-                // the array (bottom-up construction), which also
-                // guarantees traversal terminates.
-                (false, Some(end)) => count > 0 && end <= idx,
-                (_, None) => false,
-            };
-            if !in_range {
-                return fail("node child range out of bounds");
-            }
-            nodes.push(ArNode { tmin, tmax, first, count, leaf });
-        }
-        Ok((ArTree { entries, nodes, root }, ott_len))
     }
 
     /// Resolves the object state encoded by a leaf entry at time `t`
@@ -494,80 +334,6 @@ mod tests {
         assert!(tree.is_empty());
         assert!(tree.point_query(1.0).is_empty());
         assert!(tree.range_query(0.0, 10.0).is_empty());
-    }
-
-    #[test]
-    fn flat_round_trip_preserves_queries() {
-        let ott = sample_ott();
-        let tree = ArTree::build(&ott);
-        let bytes = tree.to_flat_bytes(ott.len());
-        let (reloaded, ott_len) = ArTree::from_flat_bytes(&bytes).expect("clean blob");
-        assert_eq!(ott_len, ott.len());
-        assert_eq!(reloaded.entries(), tree.entries());
-        for t in [0.0, 0.5, 1.0, 2.5, 5.5, 9.75, 10.5] {
-            let a: Vec<_> = tree.point_query(t).into_iter().map(|e| (e.object, e.cur)).collect();
-            let b: Vec<_> =
-                reloaded.point_query(t).into_iter().map(|e| (e.object, e.cur)).collect();
-            assert_eq!(a, b, "point query at t={t}");
-        }
-        for (qs, qe) in [(0.0, 20.0), (2.5, 4.5), (11.0, 12.0)] {
-            assert_eq!(
-                tree.range_query(qs, qe).len(),
-                reloaded.range_query(qs, qe).len(),
-                "range [{qs}, {qe}]"
-            );
-        }
-    }
-
-    #[test]
-    fn flat_round_trip_empty_tree() {
-        let ott = ObjectTrackingTable::from_rows(Vec::new()).unwrap();
-        let tree = ArTree::build(&ott);
-        let bytes = tree.to_flat_bytes(0);
-        let (reloaded, ott_len) = ArTree::from_flat_bytes(&bytes).expect("clean empty blob");
-        assert_eq!(ott_len, 0);
-        assert!(reloaded.is_empty());
-        assert!(reloaded.point_query(1.0).is_empty());
-    }
-
-    #[test]
-    fn flat_decode_rejects_truncation_at_every_byte() {
-        let ott = sample_ott();
-        let bytes = ArTree::build(&ott).to_flat_bytes(ott.len());
-        for cut in 0..bytes.len() {
-            assert!(
-                ArTree::from_flat_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut}/{} bytes accepted",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn flat_decode_never_panics_on_byte_flips() {
-        // The blob is not checksummed at this layer (the store's frame CRC
-        // covers it); the decoder's own contract is: typed error or a tree
-        // whose indices are all in bounds — never a panic, never an
-        // out-of-range pointer.
-        let ott = sample_ott();
-        let bytes = ArTree::build(&ott).to_flat_bytes(ott.len());
-        for i in 0..bytes.len() {
-            for bit in [0, 3, 7] {
-                let mut bad = bytes.clone();
-                bad[i] ^= 1 << bit;
-                if let Ok((tree, ott_len)) = ArTree::from_flat_bytes(&bad) {
-                    for e in tree.entries() {
-                        assert!(e.cur.index() < ott_len);
-                        if let Some(p) = e.pred {
-                            assert!(p.index() < ott_len);
-                        }
-                    }
-                    // Queries stay in bounds whatever the flip did.
-                    tree.point_query(5.0);
-                    tree.range_query(0.0, 10.0);
-                }
-            }
-        }
     }
 
     #[test]

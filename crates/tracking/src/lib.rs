@@ -27,7 +27,7 @@ pub mod sanitize;
 pub mod store;
 pub mod stream;
 
-pub use artree::{ArTree, ArTreeEntry, FlatTreeError};
+pub use artree::{ArTree, ArTreeEntry};
 pub use io::{
     read_ott_csv, read_quarantine_csv, read_readings_csv, write_ott_csv, write_quarantine_csv,
     write_readings_csv, write_table_csv, CsvError,
@@ -45,7 +45,7 @@ pub use store::{
     HistoryView, IngestStore, Manifest, RecoveryReport, ScrubReport, Scrubber, SegmentEntry,
     SegmentFault, SegmentFaultKind, StdFs, StoreError, StoreOptions, TierEvents,
 };
-pub use stream::{OnlineTracker, RestoreError, StreamError};
+pub use stream::{OnlineTracker, StreamError};
 
 /// Timestamps are seconds (f64) from an arbitrary epoch.
 pub type Timestamp = f64;

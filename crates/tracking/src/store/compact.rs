@@ -203,8 +203,8 @@ mod tests {
             let bytes = fs.read(&dir.join(e.file_name())).unwrap();
             assert_eq!(bytes.len() as u64, e.file_len);
             assert_eq!(frame::crc32(&bytes), e.file_crc);
-            let seg = segment::decode(&bytes).unwrap();
-            assert_eq!(seg.rows.as_slice(), log_slice(&closed, e.base_row, e.row_count).unwrap());
+            let (_, sealed) = segment::decode_rows(&bytes).unwrap();
+            assert_eq!(sealed.as_slice(), log_slice(&closed, e.base_row, e.row_count).unwrap());
         }
     }
 

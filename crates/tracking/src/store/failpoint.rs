@@ -12,7 +12,7 @@
 //! assert recovery invariants at each.
 //!
 //! [`FailpointWriter`] is the same idea for plain `io::Write` sinks
-//! (e.g. tracker checkpoints written to a buffer).
+//! (e.g. an encoded snapshot streamed into a buffer).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -324,7 +324,7 @@ impl Fs for FailpointFs {
 
 /// An `io::Write` adaptor that fails the `fail_at`-th write call
 /// (1-based), committing only half of that write's bytes (a torn write),
-/// and every call after it. For checkpoint-to-buffer torn-write tests.
+/// and every call after it. For torn-write tests of encoded snapshots.
 #[derive(Debug)]
 pub struct FailpointWriter<W> {
     inner: W,

@@ -1,5 +1,5 @@
-//! Record framing shared by the WAL, snapshot files and binary
-//! checkpoints.
+//! Record framing shared by the WAL, snapshot, segment and manifest
+//! files.
 //!
 //! Every durable record is one **frame**:
 //!
@@ -24,7 +24,8 @@ use crate::reading::RawReading;
 use std::io::{self, Read};
 
 /// Upper bound on a single frame's payload. Tracker-state rows are tens
-/// of bytes; only the AR-tree blob grows with data size.
+/// of bytes; only the legacy `ARTREE` blob in older files grew with data
+/// size.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
 /// Frame tags. Stable on-disk values — append only, never renumber.
@@ -39,11 +40,12 @@ pub mod tag {
     pub const PENDING: u8 = 4;
     /// A raw reading appended to the WAL (`object, device, t`).
     pub const READING: u8 = 5;
-    /// Snapshot metadata (`wal_seq`).
+    /// File header: a WAL's base sequence, a snapshot's `wal_seq`, a
+    /// segment's row range and time span, a manifest's sealed rows.
     pub const META: u8 = 6;
-    /// Serialized flat AR-tree (entry array + node array) over a
-    /// segment's rows. Older snapshot files carry one too; snapshot
-    /// decoding skips it.
+    /// A flat AR-tree blob that older segment and snapshot files carry
+    /// just before `END`. Nothing writes it any more; decoding skips it
+    /// unread (its CRC is still checked).
     pub const ARTREE: u8 = 7;
     /// Commit marker: row counts, proving the file was written to the
     /// end. A file without it is torn by definition.

@@ -748,25 +748,17 @@ impl<F: Fs> IngestStore<F> {
             if e.quarantined {
                 continue;
             }
-            let healthy = match scrub::verify_entry(&self.fs, &self.dir, &e)? {
-                Ok(_) => {
-                    let bytes = self.fs.read(&self.dir.join(e.file_name()))?;
-                    match segment::decode_rows(&bytes) {
-                        Ok((meta, seg_rows)) => {
-                            segment_rows += meta.row_count;
-                            rows.extend(seg_rows);
-                            true
-                        }
-                        Err(_) => false,
+            match scrub::verify_entry(&self.fs, &self.dir, &e)? {
+                Ok(seg_rows) => {
+                    segment_rows += e.row_count;
+                    rows.extend(seg_rows);
+                }
+                Err(_) => {
+                    if let Some(slot) = self.manifest.entries.get_mut(i) {
+                        slot.quarantined = true;
                     }
+                    newly_quarantined += 1;
                 }
-                Err(_) => false,
-            };
-            if !healthy {
-                if let Some(slot) = self.manifest.entries.get_mut(i) {
-                    slot.quarantined = true;
-                }
-                newly_quarantined += 1;
             }
         }
         if newly_quarantined > 0 {

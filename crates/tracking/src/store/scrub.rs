@@ -7,10 +7,11 @@
 //! per pass and checking, in escalating depth: the file exists, its
 //! length matches the manifest, its whole-file CRC matches, and its
 //! header frame still matches the manifest entry
-//! ([`verify_entry_fast`] — the offline `fsck` sweep and the read path
-//! additionally decode every frame strictly via [`verify_entry`] /
-//! [`segment::decode_rows`]). Any failure **quarantines** the entry
-//! (manifest swap) and
+//! ([`verify_entry_fast`]). The offline `fsck` sweep and the read path
+//! go one step further with [`verify_entry`], which also decodes every
+//! frame strictly ([`segment::decode_rows`]) and hands back the rows: the
+//! read path reads, checks and decodes each segment once and serves
+//! those rows. Any failure **quarantines** the entry (manifest swap) and
 //! lands in a typed [`ScrubReport`]; the store keeps serving, with the
 //! quarantined rows excluded from answers and surfaced through
 //! `DataQuality`. Scrubbing never panics and never mutates segment
@@ -19,6 +20,7 @@
 
 use super::manifest::{Manifest, SegmentEntry, MANIFEST_FILE};
 use super::{frame, segment, snapshot, wal, Fs, StoreError, SNAPSHOT_SUFFIX, WAL_FILE};
+use crate::ott::OttRow;
 use std::path::Path;
 
 /// How a sealed segment failed verification.
@@ -96,21 +98,23 @@ impl ScrubReport {
 
 /// Verifies one manifest entry against its file, fully: existence,
 /// length, whole-file CRC, and a strict structural decode
-/// ([`segment::decode_rows`]) matching the manifest header. `Ok(Ok(bytes))`
-/// when healthy, `Ok(Err(kind))` when the *segment* is damaged, `Err(_)`
-/// only for infrastructure I/O failures (which must not quarantine).
-/// This is the depth `fsck` and the read path use.
+/// ([`segment::decode_rows`]) matching the manifest header.
+/// `Ok(Ok(rows))` with the sealed rows when healthy, `Ok(Err(kind))` when
+/// the *segment* is damaged, `Err(_)` only for infrastructure I/O
+/// failures (which must not quarantine). This is the depth `fsck` and the
+/// read path use; the rows come from the same bytes the CRC covered, so
+/// the read path serves exactly what was verified.
 pub fn verify_entry<F: Fs>(
     fs: &F,
     dir: &Path,
     e: &SegmentEntry,
-) -> Result<Result<u64, SegmentFaultKind>, StoreError> {
+) -> Result<Result<Vec<OttRow>, SegmentFaultKind>, StoreError> {
     let bytes = match read_and_checksum(fs, dir, e)? {
         Ok(b) => b,
         Err(kind) => return Ok(Err(kind)),
     };
     match segment::decode_rows(&bytes) {
-        Ok((meta, _)) if meta_matches(&meta, e) => Ok(Ok(bytes.len() as u64)),
+        Ok((meta, rows)) if meta_matches(&meta, e) => Ok(Ok(rows)),
         _ => Ok(Err(SegmentFaultKind::Decode)),
     }
 }
@@ -385,7 +389,7 @@ pub fn fsck<F: Fs>(fs: &F, dir: &Path) -> Result<FsckReport, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ott::{ObjectId, OttRow};
+    use crate::ott::ObjectId;
     use crate::store::{compact, FailpointFs};
     use inflow_indoor::DeviceId;
 

@@ -9,21 +9,22 @@
 //! "IFSEG001" | META (base_row: u64, row_count: u64, t_min: f64,
 //!            |       t_max: f64)
 //!            | CLOSED_ROW*            (one frame per sealed row)
-//!            | ARTREE                 (flat AR-tree over exactly these rows)
 //!            | END (row counts)
 //! ```
 //!
 //! Segments are written once by compaction ([`super::compact`]) and never
-//! modified; every byte is covered by a frame CRC, the whole file by the
-//! manifest's file-level CRC, and the embedded AR-tree re-validates
-//! structurally on load — so bit rot anywhere surfaces as a typed error,
-//! never a silently different answer. Like snapshots (and unlike the
-//! WAL) there is no partial credit: a segment that fails any check is
+//! modified; every byte is covered by a frame CRC and the whole file by
+//! the manifest's file-level CRC, so bit rot anywhere surfaces as a typed
+//! error, never a silently different answer. Like snapshots (and unlike
+//! the WAL) there is no partial credit: a segment that fails any check is
 //! rejected whole, and the scrubber quarantines it.
+//!
+//! Files written before segments stopped carrying an index hold an
+//! `ARTREE` frame just before `END`; decoding skips it unread. Queries
+//! build their AR-tree from the assembled table, so nothing reads it.
 
 use super::frame::{self, tag, Cursor, FrameReader};
 use super::StoreError;
-use crate::artree::ArTree;
 use crate::ott::{ObjectTrackingTable, OttRow};
 
 /// Magic prefix of a segment file.
@@ -52,19 +53,6 @@ pub struct SegmentMeta {
     pub t_min: f64,
     /// Maximum `te` across the sealed rows.
     pub t_max: f64,
-}
-
-/// A fully decoded, validated segment.
-#[derive(Debug)]
-pub struct SegmentData {
-    pub meta: SegmentMeta,
-    /// The sealed rows, in closure order (the order they were appended to
-    /// the closed-row log).
-    pub rows: Vec<OttRow>,
-    /// The OTT over exactly the sealed rows.
-    pub ott: ObjectTrackingTable,
-    /// The AR-tree reloaded from its flat serialization.
-    pub artree: ArTree,
 }
 
 fn encode_meta(meta: &SegmentMeta) -> Vec<u8> {
@@ -106,9 +94,8 @@ pub fn encode(base_row: u64, rows: &[OttRow]) -> Result<(SegmentMeta, Vec<u8>), 
     if rows.is_empty() {
         return Err(StoreError::InvalidState { reason: "cannot seal an empty segment".into() });
     }
-    let ott = ObjectTrackingTable::from_rows(rows.to_vec())
+    ObjectTrackingTable::from_rows(rows.to_vec())
         .map_err(|e| StoreError::InvalidState { reason: format!("sealing rows: {e}") })?;
-    let artree = ArTree::build(&ott);
     let t_min = rows.iter().map(|r| r.ts).fold(f64::INFINITY, f64::min);
     let t_max = rows.iter().map(|r| r.te).fold(f64::NEG_INFINITY, f64::max);
     let meta = SegmentMeta { base_row, row_count: rows.len() as u64, t_min, t_max };
@@ -118,34 +105,8 @@ pub fn encode(base_row: u64, rows: &[OttRow]) -> Result<(SegmentMeta, Vec<u8>), 
     for row in rows {
         frame::write_frame(&mut buf, tag::CLOSED_ROW, &frame::encode_row(row));
     }
-    frame::write_frame(&mut buf, tag::ARTREE, &artree.to_flat_bytes(ott.len()));
     frame::write_frame(&mut buf, tag::END, &frame::encode_counts(rows.len() as u64, 0, 0));
     Ok((meta, buf))
-}
-
-/// Decodes and validates a segment buffer. Strict like a snapshot: every
-/// frame checksum-clean and in order, the `END` counts matching, the
-/// AR-tree structurally valid and covering exactly the sealed rows, the
-/// header's row count and time span matching the rows. Any deviation is
-/// a typed error — a segment is either whole or rejected.
-pub fn decode(bytes: &[u8]) -> Result<SegmentData, StoreError> {
-    let (meta, rows, artree_bytes, offset) = walk(bytes)?;
-    let ott = ObjectTrackingTable::from_rows(rows.clone())
-        .map_err(|e| StoreError::Decode { offset, reason: format!("inconsistent rows: {e}") })?;
-    let (artree, ott_len) = ArTree::from_flat_bytes(artree_bytes)
-        .map_err(|e| StoreError::Decode { offset, reason: e.to_string() })?;
-    if ott_len != ott.len() || artree.len() != ott.len() {
-        return Err(StoreError::Decode {
-            offset,
-            reason: format!(
-                "AR-tree covers {} records over a {}-record segment ({} entries)",
-                ott_len,
-                ott.len(),
-                artree.len()
-            ),
-        });
-    }
-    Ok(SegmentData { meta, rows, ott, artree })
 }
 
 /// Decodes only the header (meta) frame: magic plus the first frame's
@@ -153,6 +114,11 @@ pub fn decode(bytes: &[u8]) -> Result<SegmentData, StoreError> {
 /// pairs with a whole-file CRC — everything after the header is covered
 /// by that CRC, so re-walking every row frame adds cost, not safety.
 pub fn decode_header(bytes: &[u8]) -> Result<SegmentMeta, StoreError> {
+    read_header(bytes).map(|(meta, _)| meta)
+}
+
+/// The header frame, decoded, and a reader positioned just past it.
+fn read_header(bytes: &[u8]) -> Result<(SegmentMeta, FrameReader<'_>), StoreError> {
     if !bytes.starts_with(SEGMENT_MAGIC) {
         return Err(StoreError::BadMagic { what: "segment" });
     }
@@ -167,57 +133,22 @@ pub fn decode_header(bytes: &[u8]) -> Result<SegmentMeta, StoreError> {
             reason: format!("expected meta frame, found tag {}", head.tag),
         });
     }
-    decode_meta(&head)
+    Ok((decode_meta(&head)?, reader))
 }
 
-/// [`decode`] minus the per-segment OTT materialization: the same strict
-/// structural walk and AR-tree validation, returning the sealed rows
-/// directly. Sealing already proved the OTT invariants over these exact
-/// bytes (the manifest CRC ties them together), so read paths that fold
-/// the rows into a larger table — and the scrubber, which discards them
-/// — need not rebuild a table per segment.
+/// Decodes and validates a segment buffer, returning its header and the
+/// sealed rows in closure order. Strict like a snapshot: every frame
+/// checksum-clean and in order, the `END` counts matching, the header's
+/// row count and time span matching the rows. Any deviation is a typed
+/// error — a segment is either whole or rejected. Sealing already proved
+/// the OTT invariants over these exact bytes (the manifest CRC ties them
+/// together), so no per-segment table is rebuilt here.
 pub fn decode_rows(bytes: &[u8]) -> Result<(SegmentMeta, Vec<OttRow>), StoreError> {
-    let (meta, rows, artree_bytes, offset) = walk(bytes)?;
-    let (artree, ott_len) = ArTree::from_flat_bytes(artree_bytes)
-        .map_err(|e| StoreError::Decode { offset, reason: e.to_string() })?;
-    if ott_len != rows.len() || artree.len() != rows.len() {
-        return Err(StoreError::Decode {
-            offset,
-            reason: format!(
-                "AR-tree covers {} records over a {}-row segment ({} entries)",
-                ott_len,
-                rows.len(),
-                artree.len()
-            ),
-        });
-    }
-    Ok((meta, rows))
-}
-
-/// The shared structural pass: magic, frame-by-frame CRC, ordering, END
-/// counts, and header-vs-rows consistency. Returns the decoded header,
-/// rows, the raw AR-tree payload and the end offset.
-#[allow(clippy::type_complexity)]
-fn walk(bytes: &[u8]) -> Result<(SegmentMeta, Vec<OttRow>, &[u8], usize), StoreError> {
-    if !bytes.starts_with(SEGMENT_MAGIC) {
-        return Err(StoreError::BadMagic { what: "segment" });
-    }
-    let mut reader = FrameReader::new(bytes, SEGMENT_MAGIC.len());
-
-    let head = reader.next().ok_or(StoreError::Decode {
-        offset: SEGMENT_MAGIC.len(),
-        reason: "missing meta frame".into(),
-    })??;
-    if head.tag != tag::META {
-        return Err(StoreError::Decode {
-            offset: head.offset,
-            reason: format!("expected meta frame, found tag {}", head.tag),
-        });
-    }
-    let meta = decode_meta(&head)?;
-
+    let (meta, mut reader) = read_header(bytes)?;
     let mut rows: Vec<OttRow> = Vec::new();
-    let mut artree_bytes: Option<&[u8]> = None;
+    // An older file's `ARTREE` frame: skipped unread, and only `END` may
+    // follow it.
+    let mut skipped_artree = false;
     let mut committed = false;
     for item in reader.by_ref() {
         let f = item?;
@@ -228,9 +159,9 @@ fn walk(bytes: &[u8]) -> Result<(SegmentMeta, Vec<OttRow>, &[u8], usize), StoreE
             });
         }
         match f.tag {
-            tag::CLOSED_ROW if artree_bytes.is_none() => rows.push(frame::decode_row(&f)?),
-            tag::ARTREE if artree_bytes.is_none() => artree_bytes = Some(f.payload),
-            tag::END if artree_bytes.is_some() => {
+            tag::CLOSED_ROW if !skipped_artree => rows.push(frame::decode_row(&f)?),
+            tag::ARTREE if !skipped_artree => skipped_artree = true,
+            tag::END => {
                 let expected = frame::decode_counts(&f)?;
                 if expected != (rows.len() as u64, 0, 0) {
                     return Err(StoreError::Decode {
@@ -272,10 +203,7 @@ fn walk(bytes: &[u8]) -> Result<(SegmentMeta, Vec<OttRow>, &[u8], usize), StoreE
             ),
         });
     }
-    let Some(artree_bytes) = artree_bytes else {
-        return Err(StoreError::Decode { offset, reason: "missing AR-tree frame".into() });
-    };
-    Ok((meta, rows, artree_bytes, offset))
+    Ok((meta, rows))
 }
 
 #[cfg(test)]
@@ -299,18 +227,17 @@ mod tests {
     }
 
     #[test]
-    fn segment_round_trips_rows_meta_and_artree() {
+    fn segment_round_trips_rows_and_meta() {
         let rows = sample_rows();
         let (meta, bytes) = encode(16, &rows).unwrap();
-        let seg = decode(&bytes).unwrap();
-        assert_eq!(seg.meta, meta);
-        assert_eq!(seg.meta.base_row, 16);
-        assert_eq!(seg.meta.row_count, 5);
-        assert_eq!(seg.meta.t_min, 0.0);
-        assert_eq!(seg.meta.t_max, 9.0);
-        assert_eq!(seg.rows, rows);
-        let rebuilt = ArTree::build(&seg.ott);
-        assert_eq!(seg.artree.entries(), rebuilt.entries());
+        let (decoded_meta, decoded_rows) = decode_rows(&bytes).unwrap();
+        assert_eq!(decoded_meta, meta);
+        assert_eq!(meta.base_row, 16);
+        assert_eq!(meta.row_count, 5);
+        assert_eq!(meta.t_min, 0.0);
+        assert_eq!(meta.t_max, 9.0);
+        assert_eq!(decoded_rows, rows);
+        assert_eq!(decode_header(&bytes).unwrap(), meta);
     }
 
     #[test]
@@ -322,7 +249,7 @@ mod tests {
     fn truncation_at_every_byte_is_rejected() {
         let (_, bytes) = encode(0, &sample_rows()).unwrap();
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "prefix {cut}/{} accepted", bytes.len());
+            assert!(decode_rows(&bytes[..cut]).is_err(), "prefix {cut}/{} accepted", bytes.len());
         }
     }
 
@@ -334,14 +261,8 @@ mod tests {
             for bit in [0, 5] {
                 let mut bad = bytes.clone();
                 bad[i] ^= 1 << bit;
-                match decode(&bad) {
-                    Err(_) => {}
-                    Ok(seg) => {
-                        panic!(
-                            "flip at byte {i} bit {bit} decoded; rows match: {}",
-                            seg.rows == rows
-                        );
-                    }
+                if let Ok((_, got)) = decode_rows(&bad) {
+                    panic!("flip at byte {i} bit {bit} decoded; rows match: {}", got == rows);
                 }
             }
         }
@@ -353,17 +274,14 @@ mod tests {
         let rows = sample_rows();
         let meta =
             SegmentMeta { base_row: 0, row_count: rows.len() as u64 + 1, t_min: 0.0, t_max: 9.0 };
-        let ott = ObjectTrackingTable::from_rows(rows.clone()).unwrap();
-        let artree = ArTree::build(&ott);
         let mut buf = Vec::new();
         buf.extend_from_slice(SEGMENT_MAGIC);
         frame::write_frame(&mut buf, tag::META, &encode_meta(&meta));
         for r in &rows {
             frame::write_frame(&mut buf, tag::CLOSED_ROW, &frame::encode_row(r));
         }
-        frame::write_frame(&mut buf, tag::ARTREE, &artree.to_flat_bytes(ott.len()));
         frame::write_frame(&mut buf, tag::END, &frame::encode_counts(rows.len() as u64, 0, 0));
-        assert!(matches!(decode(&buf), Err(StoreError::Decode { .. })));
+        assert!(matches!(decode_rows(&buf), Err(StoreError::Decode { .. })));
     }
 
     #[test]

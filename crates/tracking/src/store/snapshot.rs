@@ -9,16 +9,16 @@
 //!
 //! `wal_seq` is the absolute number of WAL readings the snapshot
 //! reflects; recovery replays WAL readings `wal_seq..` on top of it. The
-//! frames after `META` are exactly those of a binary checkpoint
-//! ([`OnlineTracker::checkpoint`]). The `END` commit marker carries the
-//! row counts; a file without a matching marker is torn by definition and
-//! rejected whole — unlike the WAL there is no partial credit for a
-//! snapshot.
+//! frames after `META` are the tracker's committed state, and this module
+//! is its one encoder and its one decoder. The `END` commit marker
+//! carries the row counts; a file without a matching marker is torn by
+//! definition and rejected whole — unlike the WAL there is no partial
+//! credit for a snapshot.
 //!
 //! Files written before snapshots stopped carrying an index hold an
 //! `ARTREE` frame just before `END`; decoding skips it unread. Recovery
-//! needs only the tracker state, and sealed segments keep their own
-//! frozen AR-trees ([`super::segment`]).
+//! needs only the tracker state, and queries build their AR-tree from the
+//! assembled table.
 
 use super::frame::{self, tag, Cursor, FrameReader};
 use super::StoreError;
@@ -142,11 +142,8 @@ mod tests {
         let snap = decode(&bytes).unwrap();
         assert_eq!(snap.wal_seq, 5);
         assert_eq!(snap.tracker.snapshot().unwrap().records(), expected_ott.records());
-        // The restored tracker checkpoints byte-identically.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        tracker.checkpoint(&mut a).unwrap();
-        snap.tracker.checkpoint(&mut b).unwrap();
-        assert_eq!(a, b);
+        // The restored tracker re-encodes byte-identically.
+        assert_eq!(encode(&snap.tracker, 5), bytes);
     }
 
     #[test]

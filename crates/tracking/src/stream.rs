@@ -15,19 +15,17 @@
 //! bound — a bounded reorder buffer holds readings until the watermark
 //! passes them, then applies them in timestamp order.
 //!
-//! A tracker can also [checkpoint](OnlineTracker::checkpoint) its complete
-//! state to a writer and be [restored](OnlineTracker::restore) after a
-//! crash; the restored tracker converges to the uninterrupted run (tested).
+//! The tracker's complete state is what a store snapshot holds
+//! ([`crate::store::snapshot`]): a tracker decoded from one resumes and
+//! converges to the uninterrupted run (tested).
 
-use crate::io::{content_lines, parse, parse_finite, CsvError};
 use crate::ott::{ObjectId, ObjectTrackingTable, OttError, OttRow};
 use crate::reading::RawReading;
-use crate::store::frame::{self, fnv1a, tag, Cursor, Frame, FrameReader};
+use crate::store::frame::{self, fnv1a, tag, Cursor, Frame};
 use crate::store::StoreError;
 use crate::Timestamp;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufRead, Write};
 
 /// An in-progress detection run for one object.
 #[derive(Debug, Clone, Copy)]
@@ -116,59 +114,10 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Errors raised while restoring a checkpoint ([`OnlineTracker::restore`]).
-#[derive(Debug)]
-pub enum RestoreError {
-    /// Reading the checkpoint stream failed.
-    Io(io::Error),
-    /// A legacy text checkpoint (v1 CSV format) was malformed.
-    Csv(CsvError),
-    /// A binary checkpoint was torn, corrupted or inconsistent.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestoreError::Io(e) => write!(f, "checkpoint read failed: {e}"),
-            RestoreError::Csv(e) => write!(f, "invalid text checkpoint: {e}"),
-            RestoreError::Store(e) => write!(f, "invalid binary checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RestoreError::Io(e) => Some(e),
-            RestoreError::Csv(e) => Some(e),
-            RestoreError::Store(e) => Some(e),
-        }
-    }
-}
-
-impl From<io::Error> for RestoreError {
-    fn from(e: io::Error) -> RestoreError {
-        RestoreError::Io(e)
-    }
-}
-
-impl From<CsvError> for RestoreError {
-    fn from(e: CsvError) -> RestoreError {
-        RestoreError::Csv(e)
-    }
-}
-
-impl From<StoreError> for RestoreError {
-    fn from(e: StoreError) -> RestoreError {
-        RestoreError::Store(e)
-    }
-}
-
-const CHECKPOINT_HEADER: &str = "# inflow online-tracker checkpoint v1";
-
-/// Magic prefix of a binary checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"IFCKP001";
+/// Domain prefix of [`OnlineTracker::state_hash`]: hashed ahead of the
+/// committed-state frames so digests recorded in replay logs stay
+/// comparable. A hash input, not a file format — no file starts with it.
+const STATE_HASH_MAGIC: &[u8; 8] = b"IFCKP001";
 
 impl OnlineTracker {
     /// Creates a strict tracker with the given merge gap (same semantics
@@ -462,9 +411,9 @@ impl OnlineTracker {
     /// Appends the tracker's complete state as checksummed frames —
     /// `CONFIG`, closed rows, open runs (sorted by object), buffered
     /// readings (sorted by time) — and the `END` commit marker carrying
-    /// the (closed, open, pending) row counts: everything a checkpoint or
-    /// snapshot holds after its header. Deterministic: identical state
-    /// encodes to identical bytes.
+    /// the (closed, open, pending) row counts: everything a snapshot
+    /// holds after its header, and what [`OnlineTracker::state_hash`]
+    /// digests. Deterministic: identical state encodes to identical bytes.
     pub(crate) fn write_committed_state(&self, out: &mut Vec<u8>) {
         frame::write_frame(out, tag::CONFIG, &self.encode_config());
         for row in &self.closed {
@@ -482,226 +431,23 @@ impl OnlineTracker {
         frame::write_frame(out, tag::END, &frame::encode_counts(closed, open, pending));
     }
 
-    /// Serializes the complete tracker state — configuration, closed rows,
-    /// open runs, buffered readings — so a crashed ingester can
-    /// [`OnlineTracker::restore`] and continue exactly where it stopped.
-    ///
-    /// The format is binary and self-verifying: the [`CHECKPOINT_MAGIC`]
-    /// prefix, CRC-checksummed state frames
-    /// ([`crate::store::frame`]), and an `END` commit marker carrying the
-    /// row counts. A torn or bit-flipped checkpoint is rejected by
-    /// [`OnlineTracker::restore`] with a typed error instead of restoring
-    /// silently-partial state.
-    pub fn checkpoint(&self, out: &mut impl Write) -> io::Result<()> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CHECKPOINT_MAGIC);
-        self.write_committed_state(&mut buf);
-        out.write_all(&buf)
-    }
-
-    /// A 64-bit digest of the tracker's complete state, computed over the
-    /// deterministic binary checkpoint encoding (FNV-1a over the exact
-    /// bytes [`OnlineTracker::checkpoint`] would write). Two trackers
-    /// hash equal iff their config, closed rows, open runs and reorder
-    /// buffers are identical — the per-shard comparison point the
-    /// record/replay harness checks at every barrier.
+    /// A 64-bit digest of the tracker's complete state: FNV-1a over
+    /// `STATE_HASH_MAGIC` followed by the committed-state frames (the
+    /// bytes a snapshot holds past its header). Two trackers hash
+    /// equal iff their config, closed rows, open runs and reorder buffers
+    /// are identical — the per-shard comparison point the record/replay
+    /// harness checks at every barrier.
     pub fn state_hash(&self) -> u64 {
         let mut buf = Vec::new();
-        buf.extend_from_slice(CHECKPOINT_MAGIC);
+        buf.extend_from_slice(STATE_HASH_MAGIC);
         self.write_committed_state(&mut buf);
         fnv1a(&buf)
     }
-
-    /// Serializes the tracker state in the legacy line-oriented text
-    /// format (checkpoint v1). Kept for compatibility fixtures only —
-    /// [`OnlineTracker::restore`] still reads it, new checkpoints should
-    /// use the checksummed binary [`OnlineTracker::checkpoint`].
-    ///
-    /// ```text
-    /// # inflow online-tracker checkpoint v1
-    /// config,<max_gap>,<lateness|strict>,<watermark>,<applied_to>,<late_dropped>
-    /// closed,<object>,<device>,<ts>,<te>     (repeated)
-    /// open,<object>,<device>,<ts>,<te>       (repeated, sorted by object)
-    /// pending,<object>,<device>,<t>          (repeated, sorted by time)
-    /// ```
-    pub fn checkpoint_csv(&self, out: &mut impl Write) -> Result<(), CsvError> {
-        writeln!(out, "{CHECKPOINT_HEADER}")?;
-        let lateness = match self.lateness {
-            Some(l) => l.to_string(),
-            None => "strict".to_string(),
-        };
-        writeln!(
-            out,
-            "config,{},{},{},{},{}",
-            self.max_gap, lateness, self.watermark, self.applied_to, self.late_dropped
-        )?;
-        for r in &self.closed {
-            writeln!(out, "closed,{},{},{},{}", r.object.0, r.device.0, r.ts, r.te)?;
-        }
-        for (object, run) in self.sorted_open() {
-            writeln!(out, "open,{},{},{},{}", object.0, run.device.0, run.ts, run.te)?;
-        }
-        for r in self.sorted_pending() {
-            writeln!(out, "pending,{},{},{}", r.object.0, r.device.0, r.t)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a tracker from a [`OnlineTracker::checkpoint`] stream.
-    /// Ingestion can resume immediately; the resumed tracker produces the
-    /// same OTT as one that never crashed (tested).
-    ///
-    /// Binary checkpoints (the [`CHECKPOINT_MAGIC`] prefix) are verified
-    /// frame-by-frame — checksums, counts, commit marker — and any
-    /// mutation yields a typed [`RestoreError`]. Streams without the magic
-    /// fall back to the legacy v1 text parser.
-    pub fn restore(input: &mut impl BufRead) -> Result<OnlineTracker, RestoreError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        if bytes.starts_with(CHECKPOINT_MAGIC) {
-            return OnlineTracker::restore_binary(&bytes).map_err(RestoreError::Store);
-        }
-        OnlineTracker::restore_csv(&bytes).map_err(RestoreError::Csv)
-    }
-
-    /// Decodes a binary checkpoint: frames after the magic, closed by a
-    /// count-carrying `END` marker.
-    fn restore_binary(bytes: &[u8]) -> Result<OnlineTracker, StoreError> {
-        let mut asm = TrackerAssembler::new();
-        let mut reader = FrameReader::new(bytes, CHECKPOINT_MAGIC.len());
-        let mut committed = false;
-        for item in reader.by_ref() {
-            let f = item?;
-            if committed {
-                return Err(StoreError::Decode {
-                    offset: f.offset,
-                    reason: "frame after END marker".into(),
-                });
-            }
-            if asm.apply(&f)? {
-                continue;
-            }
-            if f.tag == tag::END {
-                let expected = frame::decode_counts(&f)?;
-                if expected != asm.counts() {
-                    return Err(StoreError::Decode {
-                        offset: f.offset,
-                        reason: format!(
-                            "END counts {expected:?} do not match decoded state {:?}",
-                            asm.counts()
-                        ),
-                    });
-                }
-                committed = true;
-            } else {
-                return Err(StoreError::Decode {
-                    offset: f.offset,
-                    reason: format!("unexpected frame tag {}", f.tag),
-                });
-            }
-        }
-        let offset = reader.offset();
-        if !committed {
-            return Err(StoreError::MissingCommit { offset });
-        }
-        asm.finish(offset)
-    }
-
-    /// Parses the legacy v1 text checkpoint format (read-only fallback).
-    fn restore_csv(bytes: &[u8]) -> Result<OnlineTracker, CsvError> {
-        let mut input = bytes;
-        let mut lines = content_lines_with_header(&mut input)?;
-        let Some((line_no, config)) = lines.next() else {
-            return Err(CsvError::BadLine { line: 0, reason: "missing config line".into() });
-        };
-        let fields: Vec<&str> = config.split(',').map(str::trim).collect();
-        if fields.len() != 6 || fields[0] != "config" {
-            return Err(CsvError::BadLine {
-                line: line_no,
-                reason: format!("expected 'config' line with 6 fields, found '{config}'"),
-            });
-        }
-        let max_gap: f64 = parse_finite(fields[1], "max_gap", line_no)?;
-        if max_gap <= 0.0 {
-            return Err(CsvError::BadLine {
-                line: line_no,
-                reason: "max_gap must be positive".into(),
-            });
-        }
-        let lateness = match fields[2] {
-            "strict" => None,
-            s => Some(parse_finite(s, "lateness", line_no)?),
-        };
-        // watermark / applied_to may legitimately be -inf (empty tracker).
-        let watermark: f64 = parse(fields[3], "watermark", line_no)?;
-        let applied_to: f64 = parse(fields[4], "applied_to", line_no)?;
-        let late_dropped: u64 = parse(fields[5], "late_dropped", line_no)?;
-        if watermark.is_nan() || applied_to.is_nan() {
-            return Err(CsvError::BadLine { line: line_no, reason: "NaN watermark".into() });
-        }
-        let mut tracker = OnlineTracker::new(max_gap);
-        tracker.lateness = lateness;
-        tracker.watermark = watermark;
-        tracker.applied_to = applied_to;
-        tracker.late_dropped = late_dropped;
-        for (line_no, line) in lines {
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            match fields.first().copied() {
-                Some("closed") | Some("open") if fields.len() == 5 => {
-                    let object = ObjectId(parse(fields[1], "object", line_no)?);
-                    let device = inflow_indoor::DeviceId(parse(fields[2], "device", line_no)?);
-                    let ts = parse_finite(fields[3], "ts", line_no)?;
-                    let te = parse_finite(fields[4], "te", line_no)?;
-                    if fields[0] == "closed" {
-                        tracker.closed.push(OttRow { object, device, ts, te });
-                    } else if tracker.open.insert(object, OpenRun { device, ts, te }).is_some() {
-                        return Err(CsvError::BadLine {
-                            line: line_no,
-                            reason: format!("duplicate open run for object {}", object.0),
-                        });
-                    }
-                }
-                Some("pending") if fields.len() == 4 => {
-                    let r = RawReading {
-                        object: ObjectId(parse(fields[1], "object", line_no)?),
-                        device: inflow_indoor::DeviceId(parse(fields[2], "device", line_no)?),
-                        t: parse_finite(fields[3], "t", line_no)?,
-                    };
-                    tracker.pending.push(Pending(r));
-                }
-                _ => {
-                    return Err(CsvError::BadLine {
-                        line: line_no,
-                        reason: format!("unrecognized checkpoint line '{line}'"),
-                    });
-                }
-            }
-        }
-        Ok(tracker)
-    }
-}
-
-/// Content lines after validating the checkpoint header.
-fn content_lines_with_header(
-    input: &mut impl BufRead,
-) -> Result<impl Iterator<Item = (usize, String)>, CsvError> {
-    // The header is a `#` comment by CSV rules, so peek at the raw first
-    // line before delegating to the shared comment-skipping reader.
-    let mut first = String::new();
-    input.read_line(&mut first)?;
-    if first.trim() != CHECKPOINT_HEADER {
-        return Err(CsvError::BadHeader {
-            expected: CHECKPOINT_HEADER,
-            found: first.trim().into(),
-        });
-    }
-    content_lines(input)
 }
 
 /// Incrementally rebuilds an [`OnlineTracker`] from state frames
-/// (`CONFIG` / `CLOSED_ROW` / `OPEN_RUN` / `PENDING`), shared by the
-/// binary checkpoint reader and the snapshot decoder
-/// ([`crate::store::snapshot`]).
+/// (`CONFIG` / `CLOSED_ROW` / `OPEN_RUN` / `PENDING`) for the snapshot
+/// decoder ([`crate::store::snapshot`]).
 pub(crate) struct TrackerAssembler {
     tracker: Option<OnlineTracker>,
     counts: (u64, u64, u64),
@@ -778,7 +524,6 @@ mod tests {
     use super::*;
     use crate::reading::merge_raw_readings;
     use inflow_indoor::DeviceId;
-    use std::io::BufReader;
 
     fn reading(o: u32, d: u32, t: f64) -> RawReading {
         RawReading { object: ObjectId(o), device: DeviceId(d), t }
@@ -935,164 +680,5 @@ mod tests {
     fn empty_tracker_produces_empty_ott() {
         let ott = OnlineTracker::new(1.0).finish().unwrap();
         assert!(ott.is_empty());
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_mid_stream() {
-        // Ingest half the (shuffled) stream, checkpoint ("crash"), restore
-        // into a fresh tracker, ingest the rest: the final OTT must equal
-        // the uninterrupted run's.
-        let sorted = weave();
-        let lateness = needed_lateness(&sorted, 5);
-        let readings = window_reverse(sorted, 5);
-        let half = readings.len() / 2;
-
-        let mut uninterrupted = OnlineTracker::with_reorder(1.5, lateness);
-        uninterrupted.ingest_all(readings.clone()).unwrap();
-        let expected = uninterrupted.finish().unwrap();
-
-        let mut first = OnlineTracker::with_reorder(1.5, lateness);
-        first.ingest_all(readings[..half].iter().copied()).unwrap();
-        let mut buf = Vec::new();
-        first.checkpoint(&mut buf).unwrap();
-        drop(first); // the crash
-
-        let mut resumed = OnlineTracker::restore(&mut BufReader::new(buf.as_slice())).unwrap();
-        resumed.ingest_all(readings[half..].iter().copied()).unwrap();
-        let ott = resumed.finish().unwrap();
-        assert_eq!(ott.records(), expected.records());
-    }
-
-    #[test]
-    fn checkpoint_restores_every_field() {
-        let mut tracker = OnlineTracker::with_reorder(1.5, 2.0);
-        tracker.ingest(reading(1, 1, 0.0)).unwrap();
-        tracker.ingest(reading(1, 2, 3.0)).unwrap(); // drains t=0, buffers t=3
-        tracker.ingest(reading(2, 1, 4.0)).unwrap();
-        let mut buf = Vec::new();
-        tracker.checkpoint(&mut buf).unwrap();
-
-        let restored = OnlineTracker::restore(&mut BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(restored.closed_rows(), tracker.closed_rows());
-        assert_eq!(restored.open_runs(), tracker.open_runs());
-        assert_eq!(restored.pending_readings(), tracker.pending_readings());
-        assert_eq!(restored.watermark(), tracker.watermark());
-        assert_eq!(restored.late_dropped(), tracker.late_dropped());
-        // Checkpointing the restored tracker is byte-identical.
-        let mut buf2 = Vec::new();
-        restored.checkpoint(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn checkpoint_of_strict_empty_tracker_round_trips() {
-        let tracker = OnlineTracker::new(2.5);
-        let mut buf = Vec::new();
-        tracker.checkpoint(&mut buf).unwrap();
-        let restored = OnlineTracker::restore(&mut BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(restored.closed_rows(), 0);
-        assert_eq!(restored.open_runs(), 0);
-        // Strict mode survives: out-of-order still errors.
-        let mut restored = restored;
-        restored.ingest(reading(1, 1, 5.0)).unwrap();
-        assert!(restored.ingest(reading(1, 1, 4.0)).is_err());
-    }
-
-    /// A tracker with every kind of state populated: closed rows, open
-    /// runs, buffered readings, a dropped-late count.
-    fn busy_tracker() -> OnlineTracker {
-        let mut tracker = OnlineTracker::with_reorder(1.5, 2.0);
-        tracker.ingest(reading(1, 1, 0.0)).unwrap();
-        tracker.ingest(reading(1, 2, 3.0)).unwrap(); // drains t=0, buffers t=3
-        tracker.ingest(reading(2, 1, 4.0)).unwrap();
-        tracker.ingest(reading(3, 3, 9.0)).unwrap();
-        tracker.ingest(reading(1, 1, 0.5)).unwrap(); // hopelessly late: dropped
-        assert!(tracker.late_dropped() > 0);
-        tracker
-    }
-
-    #[test]
-    fn restore_reads_legacy_csv_checkpoints() {
-        let tracker = busy_tracker();
-        let mut csv = Vec::new();
-        tracker.checkpoint_csv(&mut csv).unwrap();
-        let restored = OnlineTracker::restore(&mut BufReader::new(csv.as_slice())).unwrap();
-        // Both serialize to the same binary checkpoint bytes.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        tracker.checkpoint(&mut a).unwrap();
-        restored.checkpoint(&mut b).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn torn_checkpoint_rejected_at_every_failpoint() {
-        use crate::store::failpoint::FailpointWriter;
-        let tracker = busy_tracker();
-        // A full checkpoint is one write; re-serialize through a chunking
-        // writer so the failpoint can land mid-stream: write in 7-byte
-        // slices through the FailpointWriter.
-        let mut full = Vec::new();
-        tracker.checkpoint(&mut full).unwrap();
-        let chunks = full.len().div_ceil(7);
-        for fail_at in 1..=chunks as u64 {
-            let mut w = FailpointWriter::new(Vec::new(), fail_at);
-            for chunk in full.chunks(7) {
-                if w.write_all(chunk).is_err() {
-                    break; // the crash
-                }
-            }
-            let torn = w.into_inner();
-            assert!(torn.len() < full.len(), "failpoint {fail_at} did not tear");
-            let r = OnlineTracker::restore(&mut BufReader::new(torn.as_slice()));
-            assert!(
-                matches!(r, Err(RestoreError::Store(_)) | Err(RestoreError::Csv(_))),
-                "torn checkpoint ({} of {} bytes) accepted",
-                torn.len(),
-                full.len()
-            );
-        }
-    }
-
-    #[test]
-    fn truncated_binary_checkpoint_rejected_at_every_byte() {
-        let tracker = busy_tracker();
-        let mut full = Vec::new();
-        tracker.checkpoint(&mut full).unwrap();
-        for cut in 0..full.len() {
-            let r = OnlineTracker::restore(&mut BufReader::new(&full[..cut]));
-            assert!(r.is_err(), "prefix of {cut}/{} bytes accepted", full.len());
-        }
-    }
-
-    #[test]
-    fn bit_flipped_binary_checkpoint_never_restores_silently() {
-        let tracker = busy_tracker();
-        let mut full = Vec::new();
-        tracker.checkpoint(&mut full).unwrap();
-        for i in 0..full.len() {
-            let mut bad = full.clone();
-            bad[i] ^= 1 << (i % 8);
-            match OnlineTracker::restore(&mut BufReader::new(bad.as_slice())) {
-                // A flip inside the magic demotes the stream to the CSV
-                // fallback, which rejects it; a flip anywhere else must
-                // trip a checksum or structural check.
-                Err(_) => {}
-                Ok(_) => panic!("flip at byte {i} restored without error"),
-            }
-        }
-    }
-
-    #[test]
-    fn restore_rejects_garbage() {
-        let cases: [&str; 4] = [
-            "not a checkpoint\n",
-            "# inflow online-tracker checkpoint v1\nconfig,1.5\n",
-            "# inflow online-tracker checkpoint v1\nconfig,1.5,strict,-inf,-inf,0\nbogus,1\n",
-            "# inflow online-tracker checkpoint v1\nconfig,1.5,strict,-inf,-inf,0\nclosed,1,2,NaN,5\n",
-        ];
-        for text in cases {
-            let err = OnlineTracker::restore(&mut BufReader::new(text.as_bytes()));
-            assert!(err.is_err(), "accepted: {text}");
-        }
     }
 }

@@ -50,6 +50,9 @@ CARGO_TARGET_DIR=target/perfbench \
 echo "== crash suite (deterministic failpoint sweep over the ingestion store)"
 cargo test -q --test crash --offline
 
+echo "== store format (pinned digests; legacy snapshot/segment layouts decode)"
+cargo test -q --test store_format --test segments --offline
+
 echo "== serve smoke (serve/watch/top end-to-end over TCP)"
 bash scripts/serve-smoke.sh
 
