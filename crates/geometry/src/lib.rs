@@ -40,8 +40,8 @@ pub use mbr::Mbr;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;
 pub use region::{
-    all_of, any_of, classify_at_most, classify_guarded, BoxedRegion, EmptyRegion, HalfPlane,
-    Region, RegionDifference, RegionIntersection, RegionUnion,
+    all_of, any_of, classify_at_most, BoxedRegion, EmptyRegion, HalfPlane, Region,
+    RegionDifference, RegionIntersection, RegionUnion,
 };
 pub use ring::Ring;
 pub use segment::Segment;

@@ -87,6 +87,15 @@ impl Mbr {
             && self.hi.y >= other.hi.y
     }
 
+    /// Whether the non-empty `other` lies in the open interior of `self`,
+    /// clear of all four sides.
+    pub fn contains_strictly(&self, other: &Mbr) -> bool {
+        self.lo.x < other.lo.x
+            && other.hi.x < self.hi.x
+            && self.lo.y < other.lo.y
+            && other.hi.y < self.hi.y
+    }
+
     /// Whether the two rectangles share at least one point (closed-set
     /// semantics: touching boundaries intersect).
     pub fn intersects(&self, other: &Mbr) -> bool {

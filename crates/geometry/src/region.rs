@@ -102,7 +102,7 @@ pub fn any_of(verdicts: impl IntoIterator<Item = Option<bool>>) -> Option<bool> 
 
 /// Verdict of `guard.contains(p) && part.contains(p)` over `b`; the part
 /// is only classified when the guard MBR does not already rule `b` out.
-pub fn classify_guarded(guard: &Mbr, part: &(impl Region + ?Sized), b: &Mbr) -> Option<bool> {
+fn classify_guarded(guard: &Mbr, part: &(impl Region + ?Sized), b: &Mbr) -> Option<bool> {
     match guard.classify(b) {
         Some(false) => Some(false),
         g => all_of([g, part.classify(b)]),

@@ -183,7 +183,7 @@ impl FloorPlanBuilder {
         }
         let mbr = self.cells.iter().fold(Mbr::EMPTY, |m, c| m.union(&c.footprint.mbr()));
         let locator = CellLocator::build(&self.cells, mbr);
-        let overlapping = self
+        let overlapping: Vec<Vec<CellId>> = self
             .cells
             .iter()
             .map(|cell| {
@@ -193,6 +193,21 @@ impl FloorPlanBuilder {
                 self.cells.iter().filter(overlaps).map(|o| o.id).collect()
             })
             .collect();
+        // A cell whose MBR holds the POI's MBR also holds its centre, so
+        // the centre's bucket lists it.
+        let poi_cells = self
+            .pois
+            .iter()
+            .map(|poi| {
+                let m = poi.mbr();
+                locator.candidates(m.center()).iter().copied().find(|&id| {
+                    let footprint = &self.cells[id.index()].footprint;
+                    footprint.is_axis_rectangle()
+                        && overlapping[id.index()].is_empty()
+                        && footprint.mbr().contains_mbr(&m)
+                })
+            })
+            .collect();
         Ok(FloorPlan {
             cells: self.cells,
             doors: self.doors,
@@ -200,6 +215,7 @@ impl FloorPlanBuilder {
             pois: self.pois,
             doors_by_cell,
             overlapping,
+            poi_cells,
             locator,
             mbr,
         })
@@ -217,6 +233,8 @@ pub struct FloorPlan {
     /// Per cell, the other cells whose MBRs overlap its MBR in more than
     /// a shared wall (none in a plan whose cells tile the floor).
     overlapping: Vec<Vec<CellId>>,
+    /// Per POI, its host cell (see [`FloorPlan::poi_cell`]).
+    poi_cells: Vec<Option<CellId>>,
     locator: CellLocator,
     mbr: Mbr,
 }
@@ -260,6 +278,18 @@ impl FloorPlan {
     /// A POI by id.
     pub fn poi(&self, id: PoiId) -> &Poi {
         &self.pois[id.index()]
+    }
+
+    /// The host cell of a POI: an axis-rectangle cell that no other cell
+    /// overlaps and whose MBR holds the POI's MBR; `None` when no cell
+    /// qualifies (a POI straddling a wall) or the id is not this plan's.
+    ///
+    /// Every point more than a wall tolerance inside the host locates to
+    /// it and to no other cell, and a block clear of its walls is what
+    /// [`FloorPlan::sole_cell`] would find inside it — what lets presence
+    /// integration over the POI skip both lookups.
+    pub fn poi_cell(&self, id: PoiId) -> Option<CellId> {
+        self.poi_cells.get(id.index()).copied().flatten()
     }
 
     /// The doors on the boundary of `cell`.
@@ -310,15 +340,12 @@ impl FloorPlan {
     pub fn sole_cell(&self, b: &Mbr, margin: f64) -> Option<CellId> {
         let grown = b.expanded(margin);
         let mbr_of = |id: CellId| self.cells[id.index()].footprint().mbr();
-        let strictly_inside = |m: Mbr| {
-            m.lo.x < grown.lo.x && grown.hi.x < m.hi.x && m.lo.y < grown.lo.y && grown.hi.y < m.hi.y
-        };
         let id = self
             .locator
             .candidates(grown.center())
             .iter()
             .copied()
-            .find(|&id| strictly_inside(mbr_of(id)))?;
+            .find(|&id| mbr_of(id).contains_strictly(&grown))?;
         // A cell whose MBR meets this one's only along a wall cannot
         // reach `grown`, which stays clear of the walls; only overlapping
         // cells need a look.
@@ -480,6 +507,22 @@ mod tests {
         assert_eq!(plan.sole_cell(&block(3.0, 1.0, 4.0 - 1e-6, 2.0), 1e-5), None);
         // Outside the building.
         assert_eq!(plan.sole_cell(&block(9.0, 1.0, 10.0, 2.0), 1e-5), None);
+    }
+
+    #[test]
+    fn poi_cell_is_the_rectangle_holding_the_poi() {
+        let plan = two_rooms();
+        assert_eq!(plan.poi_cell(PoiId(0)), Some(CellId(1)));
+        assert_eq!(plan.poi_cell(PoiId(7)), None);
+        let mut b = FloorPlanBuilder::new();
+        let rect = |x0, x1| Polygon::rectangle(Point::new(x0, 0.0), Point::new(x1, 4.0));
+        b.add_cell("room-1", CellKind::Room, rect(0.0, 4.0));
+        b.add_cell("room-2", CellKind::Room, rect(4.0, 8.0));
+        b.add_poi("whole-room", rect(0.0, 4.0));
+        b.add_poi("across", rect(3.0, 5.0));
+        let plan = b.build().unwrap();
+        assert_eq!(plan.poi_cell(PoiId(0)), Some(CellId(0)));
+        assert_eq!(plan.poi_cell(PoiId(1)), None);
     }
 
     #[test]

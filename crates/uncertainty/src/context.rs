@@ -1,7 +1,12 @@
 //! Shared indoor context: floor plan plus distance oracle.
 
 use inflow_geometry::Point;
-use inflow_indoor::{CellId, DistanceOracle, FloorPlan};
+use inflow_indoor::{CellId, DeviceId, DistanceOracle, FloorPlan};
+use std::sync::{Arc, OnceLock};
+
+/// A point's cell and the indoor distance from the point to every door
+/// of the plan, indexed by door.
+pub type DoorDistances = (CellId, Arc<[f64]>);
 
 /// A floor plan bundled with its precomputed [`DistanceOracle`].
 ///
@@ -11,13 +16,36 @@ use inflow_indoor::{CellId, DistanceOracle, FloorPlan};
 pub struct IndoorContext {
     plan: FloorPlan,
     oracle: DistanceOracle,
+    /// Per device, [`IndoorContext::device_doors`], computed when a
+    /// topology anchor first needs it; every later anchor on the device
+    /// shares the vector. Both the table and its entries fill lazily, so a
+    /// context that never derives an uncertainty region (an ingest-only
+    /// server's) holds neither a devices × doors table nor a slot per
+    /// device.
+    device_doors: OnceLock<Box<[OnceLock<Option<DoorDistances>>]>>,
 }
 
 impl IndoorContext {
     /// Builds the context, precomputing all door-to-door shortest paths.
     pub fn new(plan: FloorPlan) -> IndoorContext {
         let oracle = DistanceOracle::new(&plan);
-        IndoorContext { plan, oracle }
+        IndoorContext { plan, oracle, device_doors: OnceLock::new() }
+    }
+
+    /// The cell holding the device and the indoor distance from the
+    /// device to every door, computed once per context; `None` when the
+    /// device lies outside every cell.
+    pub fn device_doors(&self, id: DeviceId) -> Option<&DoorDistances> {
+        let table = self
+            .device_doors
+            .get_or_init(|| self.plan.devices().iter().map(|_| OnceLock::new()).collect());
+        table[id.index()]
+            .get_or_init(|| {
+                let p = self.plan.device(id).position;
+                let cell = self.plan.locate(p)?;
+                Some((cell, self.oracle.distances_from_point(&self.plan, p, cell).into()))
+            })
+            .as_ref()
     }
 
     /// The floor plan.
@@ -34,14 +62,6 @@ impl IndoorContext {
     /// point is outside every cell or no door path exists).
     pub fn indoor_distance(&self, p: Point, q: Point) -> Option<f64> {
         self.oracle.distance(&self.plan, p, q)
-    }
-
-    /// Indoor walking distance when the source's cell is already known —
-    /// the topology check resolves each device's cell once per region and
-    /// then runs this per sample point.
-    pub fn indoor_distance_from_cell(&self, p: Point, p_cell: CellId, q: Point) -> Option<f64> {
-        let q_cell = self.plan.locate(q)?;
-        self.oracle.distance_between_located(&self.plan, p, p_cell, q, q_cell)
     }
 }
 
@@ -65,13 +85,14 @@ mod tests {
             Polygon::rectangle(Point::new(4.0, 0.0), Point::new(8.0, 4.0)),
         );
         b.add_door("d", Point::new(4.0, 2.0), a, c);
+        let inside = b.add_device("in", Point::new(2.0, 2.0), 0.5);
+        let outside = b.add_device("out", Point::new(-3.0, 2.0), 0.5);
         let ctx = IndoorContext::new(b.build().unwrap());
         let d = ctx.indoor_distance(Point::new(2.0, 2.0), Point::new(6.0, 2.0)).unwrap();
         assert!((d - 4.0).abs() < 1e-12);
-        let cell = ctx.plan().locate(Point::new(2.0, 2.0)).unwrap();
-        let d2 = ctx
-            .indoor_distance_from_cell(Point::new(2.0, 2.0), cell, Point::new(6.0, 2.0))
-            .unwrap();
-        assert_eq!(d, d2);
+        let (cell, doors) = ctx.device_doors(inside).unwrap();
+        assert_eq!((*cell, &doors[..]), (a, &[2.0][..]));
+        assert!(std::ptr::eq(ctx.device_doors(inside).unwrap(), ctx.device_doors(inside).unwrap()));
+        assert!(ctx.device_doors(outside).is_none());
     }
 }

@@ -1,12 +1,12 @@
 //! The uncertainty-region engine: snapshot and interval derivation.
 
 use crate::context::IndoorContext;
-use crate::regions::{ConstrainedRing, ConstrainedTheta};
+use crate::regions::{ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor};
 use inflow_geometry::{
-    all_of, any_of, area_in_polygon, classify_guarded, BoxedRegion, Circle, ExtendedEllipse,
-    GridResolution, Mbr, Point, Region, RegionIntersection, Ring,
+    all_of, any_of, area_in_polygon, Circle, ExtendedEllipse, GridResolution, Mbr, Point, Region,
+    Ring,
 };
-use inflow_indoor::{DeviceId, Poi};
+use inflow_indoor::{DeviceId, FloorPlan, Poi};
 use inflow_tracking::{ObjectId, ObjectState, ObjectTrackingTable, Timestamp};
 use std::sync::Arc;
 
@@ -38,6 +38,52 @@ impl Default for UrConfig {
     }
 }
 
+/// One shape a segment intersects: a detection disk, a (constrained)
+/// ring, or a (constrained) extended ellipse.
+enum Piece {
+    Disk(Circle),
+    Ring(ConstrainedRing),
+    Theta(ConstrainedTheta),
+}
+
+impl Piece {
+    fn contains(&self, p: Point, host: Option<&HostCell>) -> bool {
+        match self {
+            Piece::Disk(c) => c.contains(p),
+            Piece::Ring(r) => r.contains_in(p, host),
+            Piece::Theta(t) => t.contains_in(p, host),
+        }
+    }
+
+    fn classify(&self, b: &Mbr, host: Option<&HostCell>) -> Option<bool> {
+        match self {
+            Piece::Disk(c) => Region::classify(c, b),
+            Piece::Ring(r) => r.classify_in(b, host),
+            Piece::Theta(t) => t.classify_in(b, host),
+        }
+    }
+}
+
+/// One segment of an uncertainty region: the intersection of its pieces,
+/// inside its small MBR.
+struct Segment {
+    mbr: Mbr,
+    pieces: Vec<Piece>,
+}
+
+impl Segment {
+    fn contains(&self, p: Point, host: Option<&HostCell>) -> bool {
+        self.mbr.contains(p) && self.pieces.iter().all(|x| x.contains(p, host))
+    }
+
+    fn classify(&self, b: &Mbr, host: Option<&HostCell>) -> Option<bool> {
+        match self.mbr.classify(b) {
+            Some(false) => Some(false),
+            g => all_of(std::iter::once(g).chain(self.pieces.iter().map(|x| x.classify(b, host)))),
+        }
+    }
+}
+
 /// An object's uncertainty region: a union of *segments* — detection
 /// disks and inter-detection ellipses — each carrying its small MBR
 /// (§4.3.2, Figure 9). Snapshot regions consist of a single segment.
@@ -48,20 +94,20 @@ impl Default for UrConfig {
 /// integration restricts membership tests to the segments near the POI
 /// rather than scanning the whole trajectory per probe.
 pub struct UncertaintyRegion {
-    parts: Vec<(Mbr, BoxedRegion)>,
+    segments: Vec<Segment>,
     mbr: Mbr,
 }
 
 impl UncertaintyRegion {
     /// Builds a region from its segments.
-    fn from_parts(parts: Vec<(Mbr, BoxedRegion)>) -> UncertaintyRegion {
-        let mbr = parts.iter().fold(Mbr::EMPTY, |m, (pm, _)| m.union(pm));
-        UncertaintyRegion { parts, mbr }
+    fn from_segments(segments: Vec<Segment>) -> UncertaintyRegion {
+        let mbr = segments.iter().fold(Mbr::EMPTY, |m, s| m.union(&s.mbr));
+        UncertaintyRegion { segments, mbr }
     }
 
     /// The region containing no points (e.g. from inconsistent data).
     pub fn empty() -> UncertaintyRegion {
-        UncertaintyRegion { parts: Vec::new(), mbr: Mbr::EMPTY }
+        UncertaintyRegion { segments: Vec::new(), mbr: Mbr::EMPTY }
     }
 
     /// Whether the region is certainly empty.
@@ -71,35 +117,44 @@ impl UncertaintyRegion {
 
     /// Number of segments (detection disks + inter-detection ellipses).
     pub fn segment_count(&self) -> usize {
-        self.parts.len()
+        self.segments.len()
     }
 
     /// The per-segment small MBRs, in segment order.
     pub fn segment_mbrs(&self) -> impl Iterator<Item = Mbr> + '_ {
-        self.parts.iter().map(|(m, _)| *m)
+        self.segments.iter().map(|s| s.mbr)
     }
 
     /// Whether any small MBR intersects `query` — the finer-grained check
     /// of the improved interval join (§4.3.2).
     pub fn any_segment_intersects(&self, query: &Mbr) -> bool {
-        self.parts.iter().any(|(m, _)| m.intersects(query))
+        self.segments.iter().any(|s| s.mbr.intersects(query))
     }
 
     /// A view of the region restricted to segments whose MBRs intersect
     /// `window`; integrating over this view is equivalent to integrating
-    /// the full region against any polygon inside `window`. Presence
-    /// integrates over this view.
+    /// the full region against any polygon inside `window`.
     pub fn restricted_to(&self, window: &Mbr) -> RestrictedUr<'_> {
-        let parts: Vec<&(Mbr, BoxedRegion)> =
-            self.parts.iter().filter(|(m, _)| m.intersects(window)).collect();
-        let mbr = parts.iter().fold(Mbr::EMPTY, |m, (pm, _)| m.union(pm));
-        RestrictedUr { parts, mbr }
+        let segments: Vec<&Segment> =
+            self.segments.iter().filter(|s| s.mbr.intersects(window)).collect();
+        let mbr = segments.iter().fold(Mbr::EMPTY, |m, s| m.union(&s.mbr));
+        RestrictedUr { segments, mbr, host: None }
+    }
+
+    /// The view presence integrates against `poi`: [`restricted_to`] the
+    /// POI's MBR, with the POI's [`HostCell`] when the plan has one. The
+    /// same point set and, over the POI, the same block verdicts as
+    /// `restricted_to`, found without searching the plan.
+    ///
+    /// [`restricted_to`]: UncertaintyRegion::restricted_to
+    pub fn restricted_to_poi(&self, plan: &FloorPlan, poi: &Poi) -> RestrictedUr<'_> {
+        RestrictedUr { host: HostCell::of_poi(plan, poi), ..self.restricted_to(&poi.mbr()) }
     }
 }
 
 impl Region for UncertaintyRegion {
     fn contains(&self, p: Point) -> bool {
-        self.mbr.contains(p) && self.parts.iter().any(|(m, r)| m.contains(p) && r.contains(p))
+        self.mbr.contains(p) && self.segments.iter().any(|s| s.contains(p, None))
     }
     fn mbr(&self) -> Mbr {
         self.mbr
@@ -110,27 +165,30 @@ impl Region for UncertaintyRegion {
     fn classify(&self, b: &Mbr) -> Option<bool> {
         match self.mbr.classify(b) {
             Some(false) => Some(false),
-            g => all_of([g, any_of(self.parts.iter().map(|(m, r)| classify_guarded(m, r, b)))]),
+            g => all_of([g, any_of(self.segments.iter().map(|s| s.classify(b, None)))]),
         }
     }
 }
 
 /// A borrow of the segments of an [`UncertaintyRegion`] relevant to one
-/// integration window ([`UncertaintyRegion::restricted_to`]).
+/// integration window ([`UncertaintyRegion::restricted_to`]), with the
+/// window's host cell when it has one
+/// ([`UncertaintyRegion::restricted_to_poi`]).
 pub struct RestrictedUr<'a> {
-    parts: Vec<&'a (Mbr, BoxedRegion)>,
+    segments: Vec<&'a Segment>,
     mbr: Mbr,
+    host: Option<HostCell>,
 }
 
 impl Region for RestrictedUr<'_> {
     fn contains(&self, p: Point) -> bool {
-        self.parts.iter().any(|(m, r)| m.contains(p) && r.contains(p))
+        self.segments.iter().any(|s| s.contains(p, self.host.as_ref()))
     }
     fn mbr(&self) -> Mbr {
         self.mbr
     }
     fn classify(&self, b: &Mbr) -> Option<bool> {
-        any_of(self.parts.iter().map(|(m, r)| classify_guarded(m, r, b)))
+        any_of(self.segments.iter().map(|s| s.classify(b, self.host.as_ref())))
     }
 }
 
@@ -172,19 +230,27 @@ impl UrEngine {
         self.ctx.plan().device(id).detection_circle()
     }
 
-    fn ring_region(&self, circle: Circle, extension: f64) -> ConstrainedRing {
+    fn ring_region(&self, device: DeviceId, extension: f64) -> ConstrainedRing {
         if self.cfg.topology_check {
-            ConstrainedRing::indoor(Arc::clone(&self.ctx), circle, extension)
+            ConstrainedRing::indoor(IndoorAnchor::device(&self.ctx, device), extension)
         } else {
-            ConstrainedRing::euclidean(Ring::new(circle, extension))
+            ConstrainedRing::euclidean(Ring::new(self.device_circle(device), extension))
         }
     }
 
-    fn theta_region(&self, theta: ExtendedEllipse) -> ConstrainedTheta {
+    fn theta_region(&self, from: DeviceId, to: DeviceId, budget: f64) -> ConstrainedTheta {
         if self.cfg.topology_check {
-            ConstrainedTheta::indoor(Arc::clone(&self.ctx), theta)
+            ConstrainedTheta::indoor(
+                IndoorAnchor::device(&self.ctx, from),
+                IndoorAnchor::device(&self.ctx, to),
+                budget,
+            )
         } else {
-            ConstrainedTheta::euclidean(theta)
+            ConstrainedTheta::euclidean(ExtendedEllipse::new(
+                self.device_circle(from),
+                self.device_circle(to),
+                budget,
+            ))
         }
     }
 
@@ -196,7 +262,7 @@ impl UrEngine {
         state: ObjectState,
         t: Timestamp,
     ) -> UncertaintyRegion {
-        match state {
+        let (mbr, pieces) = match state {
             ObjectState::Active { cov, pre } => {
                 let cov_rec = ott.record(cov);
                 let cov_circle = self.device_circle(cov_rec.device);
@@ -208,23 +274,12 @@ impl UrEngine {
                     // wrongly empty the region).
                     Some(p) if ott.record(p).device != cov_rec.device => {
                         let pre_rec = ott.record(p);
-                        let ring = self.ring_region(
-                            self.device_circle(pre_rec.device),
-                            self.cfg.vmax * (t - pre_rec.te),
-                        );
+                        let ring =
+                            self.ring_region(pre_rec.device, self.cfg.vmax * (t - pre_rec.te));
                         let mbr = cov_circle.mbr().intersection(&ring.mbr());
-                        if mbr.is_empty() {
-                            return UncertaintyRegion::empty();
-                        }
-                        UncertaintyRegion::from_parts(vec![(
-                            mbr,
-                            Box::new(RegionIntersection::of(cov_circle, ring)) as BoxedRegion,
-                        )])
+                        (mbr, vec![Piece::Disk(cov_circle), Piece::Ring(ring)])
                     }
-                    _ => UncertaintyRegion::from_parts(vec![(
-                        cov_circle.mbr(),
-                        Box::new(cov_circle) as BoxedRegion,
-                    )]),
+                    _ => (cov_circle.mbr(), vec![Piece::Disk(cov_circle)]),
                 }
             }
             // Case 2: UR = Ring(dev_pre, V_max·(t − rd_pre.t_e)) ∩
@@ -232,24 +287,16 @@ impl UrEngine {
             ObjectState::Inactive { pre, suc } => {
                 let pre_rec = ott.record(pre);
                 let suc_rec = ott.record(suc);
-                let ring_pre = self.ring_region(
-                    self.device_circle(pre_rec.device),
-                    self.cfg.vmax * (t - pre_rec.te),
-                );
-                let ring_suc = self.ring_region(
-                    self.device_circle(suc_rec.device),
-                    self.cfg.vmax * (suc_rec.ts - t),
-                );
+                let ring_pre = self.ring_region(pre_rec.device, self.cfg.vmax * (t - pre_rec.te));
+                let ring_suc = self.ring_region(suc_rec.device, self.cfg.vmax * (suc_rec.ts - t));
                 let mbr = ring_pre.mbr().intersection(&ring_suc.mbr());
-                if mbr.is_empty() {
-                    return UncertaintyRegion::empty();
-                }
-                UncertaintyRegion::from_parts(vec![(
-                    mbr,
-                    Box::new(RegionIntersection::of(ring_pre, ring_suc)) as BoxedRegion,
-                )])
+                (mbr, vec![Piece::Ring(ring_pre), Piece::Ring(ring_suc)])
             }
+        };
+        if mbr.is_empty() {
+            return UncertaintyRegion::empty();
         }
+        UncertaintyRegion::from_segments(vec![Segment { mbr, pieces }])
     }
 
     /// The coarse snapshot MBR of Algorithm 2 (lines 5–10), computed
@@ -351,7 +398,7 @@ impl UrEngine {
         let IntervalChain { records, start_inactive, end_inactive } =
             self.interval_chain(ott, object, ts, te)?;
         let recs: Vec<_> = records.iter().map(|&rid| *ott.record(rid)).collect();
-        let mut parts: Vec<(Mbr, BoxedRegion)> = Vec::new();
+        let mut segments = Vec::new();
 
         // Detection disks of records overlapping the query interval: the
         // object is certainly within range while detected. Revisited
@@ -361,7 +408,7 @@ impl UrEngine {
             if r.ts <= te && r.te >= ts && !seen_devices.contains(&r.device) {
                 seen_devices.push(r.device);
                 let circle = self.device_circle(r.device);
-                parts.push((circle.mbr(), Box::new(circle)));
+                segments.push(Segment { mbr: circle.mbr(), pieces: vec![Piece::Disk(circle)] });
             }
         }
 
@@ -371,51 +418,34 @@ impl UrEngine {
         for i in 0..pair_count {
             let a = &recs[i];
             let b = &recs[i + 1];
-            let budget = self.cfg.vmax * (b.ts - a.te);
-            let theta = ExtendedEllipse::new(
-                self.device_circle(a.device),
-                self.device_circle(b.device),
-                budget,
-            );
-            if theta.is_empty() {
+            let theta = self.theta_region(a.device, b.device, self.cfg.vmax * (b.ts - a.te));
+            if theta.theta().is_empty() {
                 // Inconsistent data: the object cannot have bridged the
                 // gap at V_max. Skip the segment.
                 continue;
             }
             let mut mbr = theta.mbr();
-            let base = self.theta_region(theta);
-            let mut clips: Vec<BoxedRegion> = vec![Box::new(base)];
+            let mut pieces = vec![Piece::Theta(theta)];
             if i == 0 && start_inactive {
                 // Θ_s ∩ Ring(dev_b, V_max·(rd_b.t_s − t_s)): positions at
                 // t_s must still reach the next detection in time.
-                let ring =
-                    self.ring_region(self.device_circle(b.device), self.cfg.vmax * (b.ts - ts));
+                let ring = self.ring_region(b.device, self.cfg.vmax * (b.ts - ts));
                 mbr = mbr.intersection(&ring.mbr());
-                clips.push(Box::new(ring));
+                pieces.push(Piece::Ring(ring));
             }
             if i + 1 == pair_count && end_inactive {
                 // Θ_e ∩ Ring(dev_b, V_max·(t_e − rd_b.t_e)): positions at
                 // t_e must be reachable from the last detection.
-                let ring =
-                    self.ring_region(self.device_circle(a.device), self.cfg.vmax * (te - a.te));
+                let ring = self.ring_region(a.device, self.cfg.vmax * (te - a.te));
                 mbr = mbr.intersection(&ring.mbr());
-                clips.push(Box::new(ring));
+                pieces.push(Piece::Ring(ring));
             }
-            if mbr.is_empty() {
-                continue;
+            if !mbr.is_empty() {
+                segments.push(Segment { mbr, pieces });
             }
-            let part: BoxedRegion = match clips.pop() {
-                Some(only) if clips.is_empty() => only,
-                Some(more) => {
-                    clips.push(more);
-                    Box::new(RegionIntersection::new(clips))
-                }
-                None => continue,
-            };
-            parts.push((mbr, part));
         }
 
-        Some(UncertaintyRegion::from_parts(parts))
+        Some(UncertaintyRegion::from_segments(segments))
     }
 
     /// The probability that the object lies inside `poi`, assuming a
@@ -435,7 +465,7 @@ impl UrEngine {
         if total <= f64::EPSILON {
             return 0.0;
         }
-        let view = ur.restricted_to(&poi.mbr());
+        let view = ur.restricted_to_poi(self.ctx.plan(), poi);
         if view.mbr.is_empty() {
             return 0.0;
         }
@@ -451,8 +481,8 @@ impl UrEngine {
         }
         // Restrict to the segments near the POI: integrating a 100-segment
         // trajectory against an 8 m shop only ever touches a handful of
-        // them.
-        let view = ur.restricted_to(&poi.mbr());
+        // them. The POI's host cell spares each probe the point location.
+        let view = ur.restricted_to_poi(self.ctx.plan(), poi);
         if view.mbr.is_empty() {
             return 0.0;
         }

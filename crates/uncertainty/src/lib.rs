@@ -39,4 +39,4 @@ pub mod regions;
 
 pub use context::IndoorContext;
 pub use engine::{IntervalChain, RestrictedUr, UncertaintyRegion, UrConfig, UrEngine};
-pub use regions::{ConstrainedRing, ConstrainedTheta, IndoorAnchor};
+pub use regions::{ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor};

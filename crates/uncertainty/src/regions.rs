@@ -5,12 +5,18 @@
 //! the maximum-speed budget. Rather than post-partitioning the region, the
 //! membership predicates here evaluate the indoor-distance constraint
 //! directly: the integrator then measures exactly the checked region.
+//!
+//! Every predicate also comes in a form that takes a [`HostCell`]: the
+//! one cell a POI's integration window lies in. Probes and blocks clear
+//! of its walls then skip the floor-plan searches that would only find
+//! the host again; the point set, and every verdict inside the window,
+//! stays the same.
 
-use crate::context::IndoorContext;
+use crate::context::{DoorDistances, IndoorContext};
 use inflow_geometry::{
     all_of, classify_at_most, Circle, ExtendedEllipse, Mbr, Point, Region, Ring,
 };
-use inflow_indoor::CellId;
+use inflow_indoor::{CellId, DeviceId, FloorPlan, Poi};
 use std::sync::Arc;
 
 /// How far a block must stay from every wall before the topology check
@@ -18,6 +24,52 @@ use std::sync::Arc;
 /// Ten times the wall tolerance of the per-point check, so no point of a
 /// bounded block ever takes the shared-wall path.
 const SOLE_CELL_MARGIN: f64 = 1e-5;
+
+/// Wall tolerance of the per-point check: a point this close to its
+/// cell's MBR boundary may belong to an adjoining cell too.
+const WALL_TOL: f64 = 1e-6;
+
+/// The cell an integration window lies in: an axis-rectangle cell that no
+/// other cell overlaps, whose MBR holds the window
+/// ([`inflow_indoor::FloorPlan::poi_cell`]).
+///
+/// A point more than [`WALL_TOL`] inside it locates to it and to no other
+/// cell, and a block [`SOLE_CELL_MARGIN`] clear of its walls is exactly
+/// what [`inflow_indoor::FloorPlan::sole_cell`] finds for any block of
+/// the window. So the topology check takes both answers from the host
+/// instead of searching the plan; everything near a wall keeps the
+/// general rule.
+#[derive(Debug, Clone, Copy)]
+pub struct HostCell {
+    id: CellId,
+    mbr: Mbr,
+}
+
+impl HostCell {
+    /// The host of `poi` in `plan`: its [`FloorPlan::poi_cell`], when that
+    /// cell's MBR holds the POI's MBR (a POI from elsewhere has none).
+    pub fn of_poi(plan: &FloorPlan, poi: &Poi) -> Option<HostCell> {
+        let id = plan.poi_cell(poi.id)?;
+        let mbr = plan.cell(id).footprint().mbr();
+        mbr.contains_mbr(&poi.mbr()).then_some(HostCell { id, mbr })
+    }
+
+    /// The host cell's id.
+    pub fn id(&self) -> CellId {
+        self.id
+    }
+
+    /// Whether `q` lies inside the host, clear of its walls.
+    fn holds_point(&self, q: Point) -> bool {
+        self.mbr.contains(q) && !near_mbr_boundary(self.mbr, q)
+    }
+
+    /// Whether `b` lies inside the host, [`SOLE_CELL_MARGIN`] clear of its
+    /// walls.
+    fn holds_block(&self, b: &Mbr) -> bool {
+        self.mbr.contains_strictly(&b.expanded(SOLE_CELL_MARGIN))
+    }
+}
 
 /// A device anchoring a maximum-speed constraint: indoor distance is
 /// measured from the device's position (minus its detection radius, since
@@ -27,46 +79,45 @@ pub struct IndoorAnchor {
     ctx: Arc<IndoorContext>,
     /// Device detection circle.
     circle: Circle,
-    /// The cell containing the device position, plus the precomputed
-    /// indoor distance from the device to every door of the plan — turning
-    /// each membership probe into a scan of the probe cell's few doors.
-    cell: Option<(CellId, Vec<f64>)>,
+    /// The cell containing the device position, plus the indoor distance
+    /// from the device to every door of the plan — turning each membership
+    /// probe into a scan of the probe cell's few doors.
+    cell: Option<DoorDistances>,
 }
 
 impl IndoorAnchor {
-    /// Creates an anchor for a device's detection circle, precomputing the
-    /// device→door distance vector.
-    pub fn new(ctx: Arc<IndoorContext>, circle: Circle) -> IndoorAnchor {
-        let cell = ctx.plan().locate(circle.center).map(|c| {
-            let dists = ctx.oracle().distances_from_point(ctx.plan(), circle.center, c);
-            (c, dists)
-        });
-        IndoorAnchor { ctx, circle, cell }
+    /// The anchor of a deployed device, sharing the device→door distance
+    /// vector of the context.
+    pub fn device(ctx: &Arc<IndoorContext>, id: DeviceId) -> IndoorAnchor {
+        IndoorAnchor {
+            circle: ctx.plan().device(id).detection_circle(),
+            cell: ctx.device_doors(id).cloned(),
+            ctx: Arc::clone(ctx),
+        }
+    }
+
+    /// The device's detection circle.
+    pub fn circle(&self) -> Circle {
+        self.circle
     }
 
     /// Indoor distance from the device's range boundary to `q`:
     /// `max(0, d_indoor(center, q) − radius)`. Points inside the detection
     /// range cost zero. Returns `None` when `q` is indoors-unreachable
-    /// (outside every cell or not connected by doors).
-    pub fn boundary_indoor_distance(&self, q: Point) -> Option<f64> {
+    /// (outside every cell or not connected by doors). The same value with
+    /// or without a `host`.
+    pub fn boundary_indoor_distance(&self, q: Point, host: Option<&HostCell>) -> Option<f64> {
         if self.circle.contains(q) {
             return Some(0.0);
         }
         let d = match &self.cell {
             Some((anchor_cell, door_dists)) => {
-                let plan = self.ctx.plan();
-                let q_cell = plan.locate(q)?;
-                let mut best = self.via_cell(q, q_cell, *anchor_cell, door_dists);
-                // Points on shared walls (door positions, trajectories
-                // hugging a wall) belong to every adjoining cell; the
-                // indoor distance is the minimum over all of them.
-                if near_mbr_boundary(plan.cell(q_cell).footprint().mbr(), q) {
-                    for c in plan.locate_all(q) {
-                        if c != q_cell {
-                            best = best.min(self.via_cell(q, c, *anchor_cell, door_dists));
-                        }
-                    }
-                }
+                let best = match host {
+                    // `locate(q)` could only return the host here, and
+                    // `q` is on none of its walls.
+                    Some(h) if h.holds_point(q) => self.via_cell(q, h.id, *anchor_cell, door_dists),
+                    _ => self.via_located_cells(q, *anchor_cell, door_dists)?,
+                };
                 if !best.is_finite() {
                     return None;
                 }
@@ -79,17 +130,37 @@ impl IndoorAnchor {
         Some((d - self.circle.radius).max(0.0))
     }
 
+    /// Indoor distance from the anchor to `q` through the cell `q` locates
+    /// to; `None` when `q` is outside every cell.
+    fn via_located_cells(&self, q: Point, anchor_cell: CellId, door_dists: &[f64]) -> Option<f64> {
+        let plan = self.ctx.plan();
+        let q_cell = plan.locate(q)?;
+        let mut best = self.via_cell(q, q_cell, anchor_cell, door_dists);
+        // Points on shared walls (door positions, trajectories hugging a
+        // wall) belong to every adjoining cell; the indoor distance is the
+        // minimum over all of them.
+        if near_mbr_boundary(plan.cell(q_cell).footprint().mbr(), q) {
+            for c in plan.locate_all(q) {
+                if c != q_cell {
+                    best = best.min(self.via_cell(q, c, anchor_cell, door_dists));
+                }
+            }
+        }
+        Some(best)
+    }
+
     /// Bounds `(lo, hi)` on [`IndoorAnchor::boundary_indoor_distance`] over
     /// every point of the rectangle `b`, with `f64::INFINITY` standing for
-    /// unreachable. `None` unless the plan finds one rectangular cell
-    /// holding `b` clear of its walls ([`inflow_indoor::FloorPlan::sole_cell`]).
+    /// unreachable. `None` unless one rectangular cell holds `b` clear of
+    /// its walls: the `host` when given, else what
+    /// [`inflow_indoor::FloorPlan::sole_cell`] finds.
     ///
     /// Inside one cell the indoor distance is 1-Lipschitz: the Euclidean
     /// distance to the device in the anchor's own cell, and
     /// `min over the cell's doors of (door_dist + |door − q|)` in any
     /// other, so its range over `b` follows from point-to-rectangle
     /// distances.
-    pub fn boundary_bounds(&self, b: &Mbr) -> Option<(f64, f64)> {
+    pub fn boundary_bounds(&self, b: &Mbr, host: Option<&HostCell>) -> Option<(f64, f64)> {
         // Points inside the detection range cost zero.
         let in_range = self.circle.classify(b);
         if in_range == Some(true) {
@@ -101,7 +172,10 @@ impl IndoorAnchor {
             None => euclidean(),
             Some((anchor_cell, door_dists)) => {
                 let plan = self.ctx.plan();
-                let cell = plan.sole_cell(b, SOLE_CELL_MARGIN)?;
+                let cell = match host {
+                    Some(h) => h.holds_block(b).then_some(h.id)?,
+                    None => plan.sole_cell(b, SOLE_CELL_MARGIN)?,
+                };
                 if cell == *anchor_cell {
                     euclidean()
                 } else {
@@ -149,15 +223,14 @@ impl IndoorAnchor {
     }
 }
 
-/// Whether `q` lies within a hair of the rectangle's boundary. Cells in
-/// the supported floor plans are axis-aligned rectangles, so MBR proximity
-/// coincides with footprint-boundary proximity.
-fn near_mbr_boundary(m: inflow_geometry::Mbr, q: Point) -> bool {
-    const TOL: f64 = 1e-6;
-    (q.x - m.lo.x).abs() <= TOL
-        || (m.hi.x - q.x).abs() <= TOL
-        || (q.y - m.lo.y).abs() <= TOL
-        || (m.hi.y - q.y).abs() <= TOL
+/// Whether `q` lies within [`WALL_TOL`] of the rectangle's boundary. Cells
+/// in the supported floor plans are axis-aligned rectangles, so MBR
+/// proximity coincides with footprint-boundary proximity.
+fn near_mbr_boundary(m: Mbr, q: Point) -> bool {
+    (q.x - m.lo.x).abs() <= WALL_TOL
+        || (m.hi.x - q.x).abs() <= WALL_TOL
+        || (q.y - m.lo.y).abs() <= WALL_TOL
+        || (m.hi.y - q.y).abs() <= WALL_TOL
 }
 
 /// `Ring(dev, ρ)` with an optional indoor-distance constraint.
@@ -177,31 +250,48 @@ impl ConstrainedRing {
     }
 
     /// A topology-checked ring around the anchor's device.
-    pub fn indoor(ctx: Arc<IndoorContext>, circle: Circle, extension: f64) -> ConstrainedRing {
-        ConstrainedRing {
-            ring: Ring::new(circle, extension),
-            anchor: Some(IndoorAnchor::new(ctx, circle)),
-        }
+    pub fn indoor(anchor: IndoorAnchor, extension: f64) -> ConstrainedRing {
+        ConstrainedRing { ring: Ring::new(anchor.circle, extension), anchor: Some(anchor) }
     }
 
     /// The underlying Euclidean ring.
     pub fn ring(&self) -> &Ring {
         &self.ring
     }
-}
 
-impl Region for ConstrainedRing {
-    fn contains(&self, p: Point) -> bool {
+    /// [`Region::contains`], with the integration window's host cell.
+    pub fn contains_in(&self, p: Point, host: Option<&HostCell>) -> bool {
         if !self.ring.contains(p) {
             return false;
         }
         match &self.anchor {
             None => true,
-            Some(anchor) => match anchor.boundary_indoor_distance(p) {
+            Some(anchor) => match anchor.boundary_indoor_distance(p, host) {
                 Some(d) => d <= self.ring.extension,
                 None => false,
             },
         }
+    }
+
+    /// [`Region::classify`], with the integration window's host cell.
+    pub fn classify_in(&self, b: &Mbr, host: Option<&HostCell>) -> Option<bool> {
+        let ring = self.ring.classify(b);
+        match (&self.anchor, ring) {
+            (None, _) | (_, Some(false)) => ring,
+            (Some(anchor), _) => {
+                let ext = self.ring.extension;
+                let topo = anchor
+                    .boundary_bounds(b, host)
+                    .and_then(|(lo, hi)| classify_at_most(lo, hi, ext));
+                all_of([ring, topo])
+            }
+        }
+    }
+}
+
+impl Region for ConstrainedRing {
+    fn contains(&self, p: Point) -> bool {
+        self.contains_in(p, None)
     }
 
     fn mbr(&self) -> Mbr {
@@ -213,16 +303,7 @@ impl Region for ConstrainedRing {
     }
 
     fn classify(&self, b: &Mbr) -> Option<bool> {
-        let ring = self.ring.classify(b);
-        match (&self.anchor, ring) {
-            (None, _) | (_, Some(false)) => ring,
-            (Some(anchor), _) => {
-                let ext = self.ring.extension;
-                let topo =
-                    anchor.boundary_bounds(b).and_then(|(lo, hi)| classify_at_most(lo, hi, ext));
-                all_of([ring, topo])
-            }
-        }
+        self.classify_in(b, None)
     }
 }
 
@@ -243,21 +324,21 @@ impl ConstrainedTheta {
         ConstrainedTheta { theta, anchors: None }
     }
 
-    /// A topology-checked extended ellipse between two devices.
-    pub fn indoor(ctx: Arc<IndoorContext>, theta: ExtendedEllipse) -> ConstrainedTheta {
-        let from = IndoorAnchor::new(Arc::clone(&ctx), theta.from);
-        let to = IndoorAnchor::new(ctx, theta.to);
-        ConstrainedTheta { theta, anchors: Some((from, to)) }
+    /// A topology-checked extended ellipse between two anchors' devices.
+    pub fn indoor(from: IndoorAnchor, to: IndoorAnchor, budget: f64) -> ConstrainedTheta {
+        ConstrainedTheta {
+            theta: ExtendedEllipse::new(from.circle, to.circle, budget),
+            anchors: Some((from, to)),
+        }
     }
 
     /// The underlying Euclidean extended ellipse.
     pub fn theta(&self) -> &ExtendedEllipse {
         &self.theta
     }
-}
 
-impl Region for ConstrainedTheta {
-    fn contains(&self, p: Point) -> bool {
+    /// [`Region::contains`], with the integration window's host cell.
+    pub fn contains_in(&self, p: Point, host: Option<&HostCell>) -> bool {
         // The Euclidean ellipse is a superset of the indoor one: use it as
         // a cheap pre-filter before any oracle lookups.
         if !self.theta.contains(p) {
@@ -266,13 +347,13 @@ impl Region for ConstrainedTheta {
         match &self.anchors {
             None => true,
             Some((from, to)) => {
-                let Some(d1) = from.boundary_indoor_distance(p) else {
+                let Some(d1) = from.boundary_indoor_distance(p, host) else {
                     return false;
                 };
                 if d1 > self.theta.budget {
                     return false;
                 }
-                let Some(d2) = to.boundary_indoor_distance(p) else {
+                let Some(d2) = to.boundary_indoor_distance(p, host) else {
                     return false;
                 };
                 d1 + d2 <= self.theta.budget + inflow_geometry::EPS
@@ -280,21 +361,14 @@ impl Region for ConstrainedTheta {
         }
     }
 
-    fn mbr(&self) -> Mbr {
-        self.theta.mbr()
-    }
-
-    fn is_empty_hint(&self) -> bool {
-        self.theta.is_empty()
-    }
-
-    fn classify(&self, b: &Mbr) -> Option<bool> {
+    /// [`Region::classify`], with the integration window's host cell.
+    pub fn classify_in(&self, b: &Mbr, host: Option<&HostCell>) -> Option<bool> {
         let theta = self.theta.classify(b);
         match (&self.anchors, theta) {
             (None, _) | (_, Some(false)) => theta,
             (Some((from, to)), _) => {
                 let budget = self.theta.budget;
-                let topo = from.boundary_bounds(b).zip(to.boundary_bounds(b)).and_then(
+                let topo = from.boundary_bounds(b, host).zip(to.boundary_bounds(b, host)).and_then(
                     |((lo1, hi1), (lo2, hi2))| {
                         all_of([
                             classify_at_most(lo1, hi1, budget),
@@ -308,15 +382,34 @@ impl Region for ConstrainedTheta {
     }
 }
 
+impl Region for ConstrainedTheta {
+    fn contains(&self, p: Point) -> bool {
+        self.contains_in(p, None)
+    }
+
+    fn mbr(&self) -> Mbr {
+        self.theta.mbr()
+    }
+
+    fn is_empty_hint(&self) -> bool {
+        self.theta.is_empty()
+    }
+
+    fn classify(&self, b: &Mbr) -> Option<bool> {
+        self.classify_in(b, None)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use inflow_geometry::Polygon;
-    use inflow_indoor::{CellKind, FloorPlanBuilder};
+    use inflow_indoor::{CellKind, DeviceId, FloorPlanBuilder, PoiId};
 
-    /// Two 4×4 rooms sharing wall x = 4 with a door at (4, 2). A device
-    /// sits at the door.
-    fn ctx() -> Arc<IndoorContext> {
+    /// Two 4×4 rooms sharing wall x = 4 with a door at (4, 2), and one
+    /// device per `(x, y, range)`. POI 0 fills the east half of room b up
+    /// to its walls, POI 1 straddles the shared wall.
+    fn ctx(devices: &[(f64, f64, f64)]) -> Arc<IndoorContext> {
         let mut b = FloorPlanBuilder::new();
         let a = b.add_cell(
             "a",
@@ -329,7 +422,16 @@ mod tests {
             Polygon::rectangle(Point::new(4.0, 0.0), Point::new(8.0, 4.0)),
         );
         b.add_door("d", Point::new(4.0, 2.0), a, c);
+        for &(x, y, range) in devices {
+            b.add_device("dev", Point::new(x, y), range);
+        }
+        b.add_poi("east", Polygon::rectangle(Point::new(6.0, 0.0), Point::new(8.0, 4.0)));
+        b.add_poi("wall", Polygon::rectangle(Point::new(3.0, 1.0), Point::new(5.0, 3.0)));
         Arc::new(IndoorContext::new(b.build().unwrap()))
+    }
+
+    fn anchor(ctx: &Arc<IndoorContext>, device: u32) -> IndoorAnchor {
+        IndoorAnchor::device(ctx, DeviceId(device))
     }
 
     #[test]
@@ -342,12 +444,11 @@ mod tests {
 
     #[test]
     fn indoor_ring_excludes_through_wall_points() {
-        let ctx = ctx();
         // Device near the top wall of room a; budget 3 m. The point on the
         // other side of the wall is ~2 m away Euclidean but needs a walk
         // through the door at (4,2): far beyond 3 m.
-        let ring =
-            ConstrainedRing::indoor(Arc::clone(&ctx), Circle::new(Point::new(2.0, 3.9), 0.5), 3.0);
+        let ctx = ctx(&[(2.0, 3.9, 0.5)]);
+        let ring = ConstrainedRing::indoor(anchor(&ctx, 0), 3.0);
         assert!(!ring.contains(Point::new(4.5, 3.9)), "through-wall point must be excluded");
         // A same-room point at the same Euclidean distance stays.
         assert!(ring.contains(Point::new(2.0, 1.5)));
@@ -355,34 +456,27 @@ mod tests {
 
     #[test]
     fn indoor_ring_keeps_reachable_next_room_points() {
-        let ctx = ctx();
         // Device at the door: the next room is genuinely reachable.
-        let ring =
-            ConstrainedRing::indoor(Arc::clone(&ctx), Circle::new(Point::new(4.0, 2.0), 0.5), 2.0);
+        let ctx = ctx(&[(4.0, 2.0, 0.5)]);
+        let ring = ConstrainedRing::indoor(anchor(&ctx, 0), 2.0);
         assert!(ring.contains(Point::new(5.5, 2.0)));
         assert!(ring.contains(Point::new(2.5, 2.0)));
     }
 
     #[test]
     fn indoor_ring_rejects_points_outside_building() {
-        let ctx = ctx();
-        let ring =
-            ConstrainedRing::indoor(Arc::clone(&ctx), Circle::new(Point::new(2.0, 2.0), 0.5), 30.0);
+        let ctx = ctx(&[(2.0, 2.0, 0.5)]);
+        let ring = ConstrainedRing::indoor(anchor(&ctx, 0), 30.0);
         assert!(!ring.contains(Point::new(-3.0, 2.0)), "outdoors is unreachable");
     }
 
     #[test]
     fn indoor_theta_excludes_far_rooms() {
-        let ctx = ctx();
         // Both devices in room a; budget small. Points in room b require a
         // detour via the door, exceeding the budget.
-        let theta = ExtendedEllipse::new(
-            Circle::new(Point::new(1.0, 3.5), 0.4),
-            Circle::new(Point::new(3.0, 3.5), 0.4),
-            5.0,
-        );
-        let euclid = ConstrainedTheta::euclidean(theta);
-        let indoor = ConstrainedTheta::indoor(Arc::clone(&ctx), theta);
+        let ctx = ctx(&[(1.0, 3.5, 0.4), (3.0, 3.5, 0.4)]);
+        let indoor = ConstrainedTheta::indoor(anchor(&ctx, 0), anchor(&ctx, 1), 5.0);
+        let euclid = ConstrainedTheta::euclidean(*indoor.theta());
         let through_wall = Point::new(4.6, 3.5);
         assert!(euclid.contains(through_wall));
         assert!(!indoor.contains(through_wall));
@@ -393,14 +487,9 @@ mod tests {
 
     #[test]
     fn indoor_theta_is_subset_of_euclidean() {
-        let ctx = ctx();
-        let theta = ExtendedEllipse::new(
-            Circle::new(Point::new(1.0, 1.0), 0.4),
-            Circle::new(Point::new(6.0, 2.0), 0.4),
-            9.0,
-        );
-        let euclid = ConstrainedTheta::euclidean(theta);
-        let indoor = ConstrainedTheta::indoor(Arc::clone(&ctx), theta);
+        let ctx = ctx(&[(1.0, 1.0, 0.4), (6.0, 2.0, 0.4)]);
+        let indoor = ConstrainedTheta::indoor(anchor(&ctx, 0), anchor(&ctx, 1), 9.0);
+        let euclid = ConstrainedTheta::euclidean(*indoor.theta());
         for i in 0..40 {
             for j in 0..20 {
                 let p = Point::new(i as f64 * 0.2, j as f64 * 0.2);
@@ -413,10 +502,55 @@ mod tests {
 
     #[test]
     fn anchor_zero_inside_range() {
-        let ctx = ctx();
-        let anchor = IndoorAnchor::new(Arc::clone(&ctx), Circle::new(Point::new(2.0, 2.0), 1.0));
-        assert_eq!(anchor.boundary_indoor_distance(Point::new(2.5, 2.0)), Some(0.0));
-        let d = anchor.boundary_indoor_distance(Point::new(2.0, 3.8)).unwrap();
+        let ctx = ctx(&[(2.0, 2.0, 1.0)]);
+        let anchor = anchor(&ctx, 0);
+        assert_eq!(anchor.boundary_indoor_distance(Point::new(2.5, 2.0), None), Some(0.0));
+        let d = anchor.boundary_indoor_distance(Point::new(2.0, 3.8), None).unwrap();
         assert!((d - 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn anchors_on_one_device_share_its_door_distances() {
+        let ctx = ctx(&[(2.0, 3.0, 0.5)]);
+        let (first, second) = (anchor(&ctx, 0), anchor(&ctx, 0));
+        let ((cell, dists), (_, again)) = (first.cell.unwrap(), second.cell.unwrap());
+        assert!(Arc::ptr_eq(&dists, &again));
+        let plan = ctx.plan();
+        assert_eq!(cell, CellId(0));
+        let fresh = ctx.oracle().distances_from_point(plan, Point::new(2.0, 3.0), cell);
+        assert_eq!(&dists[..], &fresh[..]);
+    }
+
+    #[test]
+    fn host_cell_changes_no_distance_and_no_bound() {
+        let ctx = ctx(&[(2.0, 3.0, 0.5)]);
+        let plan = ctx.plan();
+        let host = HostCell::of_poi(plan, plan.poi(PoiId(0))).unwrap();
+        assert_eq!(host.id(), CellId(1));
+        assert!(HostCell::of_poi(plan, plan.poi(PoiId(1))).is_none());
+        let anchor = anchor(&ctx, 0);
+        // Quarter-metre lattice over room b, walls and the door included.
+        for i in 0..=16 {
+            for j in 0..=16 {
+                let q = Point::new(4.0 + i as f64 * 0.25, j as f64 * 0.25);
+                let (with, without) = (
+                    anchor.boundary_indoor_distance(q, Some(&host)),
+                    anchor.boundary_indoor_distance(q, None),
+                );
+                assert_eq!(with.map(f64::to_bits), without.map(f64::to_bits), "at {q}");
+            }
+        }
+        let block = |x0, y0, x1, y1| Mbr::new(Point::new(x0, y0), Point::new(x1, y1));
+        let clear = block(6.5, 1.0, 7.5, 3.0);
+        assert!(anchor.boundary_bounds(&clear, Some(&host)).is_some());
+        assert_eq!(
+            anchor.boundary_bounds(&clear, Some(&host)),
+            anchor.boundary_bounds(&clear, None)
+        );
+        // Touching the east wall, or within the margin of the west one.
+        for touching in [block(7.0, 1.0, 8.0, 3.0), block(4.0 + 1e-6, 1.0, 5.0, 3.0)] {
+            assert_eq!(anchor.boundary_bounds(&touching, Some(&host)), None);
+            assert_eq!(anchor.boundary_bounds(&touching, None), None);
+        }
     }
 }

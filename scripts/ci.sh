@@ -38,7 +38,7 @@ cargo test -q --workspace --offline
 echo "== chaos suite (seeded corruption grid × all four algorithms)"
 cargo test -q --test chaos --test robustness --offline
 
-echo "== presence kernel (block verdicts sound; integrator bit-identical to probing every cell)"
+echo "== presence kernel + host-cell oracle (verdicts sound with and without host cells; presence bit-identical to probing every cell, on and off host cells)"
 cargo test -q --test presence_kernel --offline
 
 echo "== perfbench (the benchmark crate builds and passes its tests against this tree)"

@@ -16,6 +16,12 @@
 //! * **Work**: below a block where the region is proven only the POI
 //!   polygon is tested, so a POI strictly inside the region costs no
 //!   region probe at all, while a region crossing the POI is probed.
+//! * **Host cells**: presence evaluates the topology check with the POI's
+//!   host cell, skipping point location and `sole_cell` inside it. The
+//!   plans resolve the host cells they should, host-cell verdicts and
+//!   probes equal the plain ones, and presence equals [`per_cell_area`]
+//!   of the plain view bit for bit, also for POIs without a host and for
+//!   room-sized POIs whose grid corners fall on walls.
 //!
 //! The integrator's accuracy properties (exact circle–polygon areas,
 //! MBR containment, rectangle clipping) live here too.
@@ -25,9 +31,11 @@ use inflow::geometry::{
     EmptyRegion, ExtendedEllipse, GridResolution, Mbr, Point, Polygon, Region, RegionIntersection,
     RegionUnion, Ring,
 };
-use inflow::indoor::FloorPlan;
-use inflow::tracking::ObjectState;
-use inflow::uncertainty::{ConstrainedRing, ConstrainedTheta, IndoorContext, UrConfig, UrEngine};
+use inflow::indoor::{CellKind, DeviceId, FloorPlan, FloorPlanBuilder};
+use inflow::tracking::{ObjectId, ObjectState, ObjectTrackingTable, OttRow};
+use inflow::uncertainty::{
+    ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor, IndoorContext, UrConfig, UrEngine,
+};
 use inflow::workload::rng::StdRng;
 use inflow::workload::{
     generate_cph, generate_synthetic, library_plan, metro_station_plan, office_plan, CphConfig,
@@ -209,22 +217,23 @@ fn primitive_verdicts_are_sound() {
     }
 }
 
-/// Constrained rings and extended ellipses between the devices of `plan`,
-/// each checked against its Euclidean twin: some verdicts must come from
-/// the topology bound alone (Euclidean in or unsure, indoor out).
-fn check_topology_plan(name: &str, plan: FloorPlan, rng: &mut StdRng) {
-    let ctx = Arc::new(IndoorContext::new(plan));
+/// Constrained rings and extended ellipses between the devices of the
+/// plan, each checked against its Euclidean twin: some verdicts must come
+/// from the topology bound alone (Euclidean in or unsure, indoor out).
+fn check_topology_plan(name: &str, ctx: &Arc<IndoorContext>, rng: &mut StdRng) {
     let devices: Vec<Circle> = ctx.plan().devices().iter().map(|d| d.detection_circle()).collect();
+    let anchor = |i: usize| IndoorAnchor::device(ctx, DeviceId(i as u32));
     let (mut topo_out, mut inside) = (0, 0);
     for _ in 0..16 {
-        let a = devices[rng.random_range(0..devices.len())];
-        let b = devices[rng.random_range(0..devices.len())];
+        let (ia, ib) = (rng.random_range(0..devices.len()), rng.random_range(0..devices.len()));
+        let (a, b) = (devices[ia], devices[ib]);
         let ext = rng.random_range(0.5..15.0);
-        let ring = ConstrainedRing::indoor(Arc::clone(&ctx), a, ext);
+        let ring = ConstrainedRing::indoor(anchor(ia), ext);
         let euclid = ConstrainedRing::euclidean(Ring::new(a, ext));
         let gap = ExtendedEllipse::new(a, b, 0.0).boundary_gap();
-        let ellipse = ExtendedEllipse::new(a, b, gap + rng.random_range(0.5..12.0));
-        let theta = ConstrainedTheta::indoor(Arc::clone(&ctx), ellipse);
+        let theta =
+            ConstrainedTheta::indoor(anchor(ia), anchor(ib), gap + rng.random_range(0.5..12.0));
+        let ellipse = *theta.theta();
         for _ in 0..150 {
             let blk = random_block(rng, &ring.mbr());
             if euclid.classify(&blk) != Some(false) && ring.classify(&blk) == Some(false) {
@@ -239,15 +248,94 @@ fn check_topology_plan(name: &str, plan: FloorPlan, rng: &mut StdRng) {
         }
         inside += check_sound(&format!("{name}: constrained ring"), &ring, rng, 150).0[0];
         inside += check_sound(&format!("{name}: constrained theta"), &theta, rng, 150).0[0];
-        let both = RegionIntersection::of(ring, ConstrainedRing::indoor(Arc::clone(&ctx), b, ext));
+        let both = RegionIntersection::of(ring, ConstrainedRing::indoor(anchor(ib), ext));
         check_sound(&format!("{name}: ring ∩ ring"), &both, rng, 150);
     }
     assert!(topo_out > 0 && inside > 0, "{name}: {topo_out} topology-only outs, {inside} ins");
 }
 
+/// A block inside `m` with sides log-uniform between 5 mm and 5 m (capped
+/// at `m`'s), and whether it was pushed against one of `m`'s sides.
+fn block_in(rng: &mut StdRng, m: &Mbr) -> (Mbr, bool) {
+    let w = (0.005 * 1000f64.powf(rng.random_range(0.0..1.0))).min(m.width());
+    let h = (0.005 * 1000f64.powf(rng.random_range(0.0..1.0))).min(m.height());
+    let (mut x0, mut y0) =
+        (rng.random_range(m.lo.x..=m.hi.x - w), rng.random_range(m.lo.y..=m.hi.y - h));
+    let (mut x1, mut y1) = (x0 + w, y0 + h);
+    let on_wall = rng.random_range(0..3usize) == 0;
+    if on_wall {
+        match rng.random_range(0..4usize) {
+            0 => (x0, x1) = (m.lo.x, m.lo.x + w),
+            1 => (x0, x1) = (m.hi.x - w, m.hi.x),
+            2 => (y0, y1) = (m.lo.y, m.lo.y + h),
+            _ => (y0, y1) = (m.hi.y - h, m.hi.y),
+        }
+    }
+    (Mbr::new(Point::new(x0, y0), Point::new(x1, y1)), on_wall)
+}
+
+/// Host-cell verdicts on the plan: blocks inside the host cells of its
+/// POIs, a third of them against a wall, under rings and Θs that reach
+/// into the cell. With the host, every verdict equals the plain one and
+/// is sound, every lattice point tests the same, and no anchor bounds a
+/// block touching a wall unless the block lies in its detection range.
+fn check_host_cells(name: &str, ctx: &Arc<IndoorContext>, rng: &mut StdRng) {
+    let plan = ctx.plan();
+    let hosts: Vec<HostCell> =
+        plan.pois().iter().filter_map(|p| HostCell::of_poi(plan, p)).collect();
+    assert!(!hosts.is_empty(), "{name}: no POI has a host cell");
+    let devices = plan.devices().len();
+    let anchor = |i: usize| IndoorAnchor::device(ctx, DeviceId(i as u32));
+    let (mut bounded, mut on_walls) = (0, 0);
+    for _ in 0..24 {
+        let host = hosts[rng.random_range(0..hosts.len())];
+        let cell = plan.cell(host.id()).footprint().mbr();
+        let (ia, ib) = (rng.random_range(0..devices), rng.random_range(0..devices));
+        let (a, b) = (anchor(ia).circle(), anchor(ib).circle());
+        let reach = |c: Circle| cell.min_distance(c.center) - c.radius;
+        let ring = ConstrainedRing::indoor(anchor(ia), reach(a) + rng.random_range(0.5..10.0));
+        let budget = reach(a) + reach(b) + rng.random_range(0.5..10.0);
+        let theta = ConstrainedTheta::indoor(anchor(ia), anchor(ib), budget);
+        for _ in 0..80 {
+            let (blk, on_wall) = block_in(rng, &cell);
+            let what = format!("{name}: host {:?}, block {blk:?}", host.id());
+            let verdicts = [
+                (ring.classify_in(&blk, Some(&host)), ring.classify(&blk)),
+                (theta.classify_in(&blk, Some(&host)), theta.classify(&blk)),
+            ];
+            for (with, without) in verdicts {
+                assert_eq!(with, without, "{what}: host verdict differs");
+            }
+            for p in lattice(&blk) {
+                let rc = ring.contains_in(p, Some(&host));
+                let tc = theta.contains_in(p, Some(&host));
+                assert_eq!((rc, tc), (ring.contains(p), theta.contains(p)), "{what}: probe {p}");
+                for (v, c) in [(verdicts[0].0, rc), (verdicts[1].0, tc)] {
+                    assert!(v.is_none_or(|v| v == c), "{what}: verdict {v:?}, contains({p}) {c}");
+                }
+            }
+            for i in [ia, ib] {
+                let anchor = anchor(i);
+                let bounds = anchor.boundary_bounds(&blk, Some(&host));
+                if Region::classify(&anchor.circle(), &blk) == Some(true) {
+                    continue;
+                }
+                if on_wall {
+                    assert_eq!(bounds, None, "{what}: bounded against a wall");
+                    on_walls += 1;
+                } else if bounds.is_some() {
+                    bounded += 1;
+                }
+            }
+        }
+    }
+    assert!(bounded > 0 && on_walls > 0, "{name}: {bounded} bounded, {on_walls} on walls");
+}
+
 #[test]
 fn topology_verdicts_are_sound_on_every_plan() {
     let mut rng = StdRng::seed_from_u64(0x70B0);
+    let mut host_rng = StdRng::seed_from_u64(0x4057);
     let synthetic = generate_synthetic(&SyntheticConfig::tiny());
     let cph = generate_cph(&CphConfig::tiny());
     for (name, plan) in [
@@ -257,7 +345,9 @@ fn topology_verdicts_are_sound_on_every_plan() {
         ("library", library_plan(4)),
         ("metro", metro_station_plan(3)),
     ] {
-        check_topology_plan(name, plan, &mut rng);
+        let ctx = Arc::new(IndoorContext::new(plan));
+        check_topology_plan(name, &ctx, &mut rng);
+        check_host_cells(name, &ctx, &mut host_rng);
     }
     // Whole uncertainty regions, snapshot and interval, and the
     // per-POI views presence integrates over.
@@ -271,6 +361,8 @@ fn topology_verdicts_are_sound_on_every_plan() {
                 {
                     let view = ur.restricted_to(&poi.mbr());
                     check_sound(&format!("{name} restricted UR"), &view, &mut rng, 30);
+                    let hosted = ur.restricted_to_poi(w.ctx.plan(), poi);
+                    check_sound(&format!("{name} POI view"), &hosted, &mut host_rng, 30);
                 }
             }
         }
@@ -393,6 +485,145 @@ fn classifying_integrator_is_bit_identical_to_probing_every_cell() {
         probes_fast * 3 < probes_all,
         "classification settled too little: {probes_fast} of {probes_all} probes"
     );
+}
+
+/// Four 5×6 rooms over a 20×3 corridor, each room with a door to the
+/// corridor and rooms 1 and 2 joined by a second door. POIs 0–3 are the
+/// rooms themselves and POI 4 the whole corridor, so their grid corners
+/// fall on walls; POIs 5 and 6 straddle a wall and have no host cell.
+fn walls_plan() -> FloorPlan {
+    let mut b = FloorPlanBuilder::new();
+    let rect = |x0, y0, x1, y1| Polygon::rectangle(Point::new(x0, y0), Point::new(x1, y1));
+    let corridor = b.add_cell("corridor", CellKind::Hallway, rect(0.0, 0.0, 20.0, 3.0));
+    let rooms: Vec<_> = (0..4)
+        .map(|i| {
+            let x0 = 5.0 * i as f64;
+            b.add_cell(format!("room-{i}"), CellKind::Room, rect(x0, 3.0, x0 + 5.0, 9.0))
+        })
+        .collect();
+    for (i, &room) in rooms.iter().enumerate() {
+        let door = Point::new(5.0 * i as f64 + 2.5, 3.0);
+        b.add_door(format!("door-{i}"), door, room, corridor);
+        b.add_device(format!("dev-door-{i}"), door, 1.0);
+        b.add_poi(format!("poi-room-{i}"), rect(5.0 * i as f64, 3.0, 5.0 * i as f64 + 5.0, 9.0));
+    }
+    b.add_door("door-12", Point::new(10.0, 6.0), rooms[1], rooms[2]);
+    b.add_device("dev-hall-west", Point::new(5.0, 1.2), 1.0);
+    b.add_device("dev-hall-east", Point::new(15.0, 1.2), 1.0);
+    b.add_device("dev-room-1", Point::new(7.5, 7.0), 1.0);
+    b.add_poi("poi-corridor", rect(0.0, 0.0, 20.0, 3.0));
+    b.add_poi("poi-across-12", rect(8.0, 4.0, 12.0, 8.0));
+    b.add_poi("poi-doorway-3", rect(16.0, 2.0, 19.0, 4.0));
+    b.build().unwrap()
+}
+
+/// Seeded tracking data on `plan`: each object visits random devices,
+/// pausing between visits for 1.1–3× the shortest indoor walk at
+/// `vmax`, so that every gap is bridgeable and its URs are not empty.
+fn random_ott(
+    ctx: &IndoorContext,
+    vmax: f64,
+    objects: u32,
+    rng: &mut StdRng,
+) -> ObjectTrackingTable {
+    let devices = ctx.plan().devices();
+    let mut rows = Vec::new();
+    for object in 0..objects {
+        let mut t = rng.random_range(0.0..20.0);
+        let mut at = &devices[rng.random_range(0..devices.len())];
+        for _ in 0..8 {
+            let dwell = rng.random_range(1.0..10.0);
+            rows.push(OttRow { object: ObjectId(object), device: at.id, ts: t, te: t + dwell });
+            let next = &devices[rng.random_range(0..devices.len())];
+            let walk = ctx.indoor_distance(at.position, next.position).unwrap();
+            let gap = (walk - at.range - next.range).max(0.5) / vmax;
+            t += dwell + gap * rng.random_range(1.1..3.0);
+            at = next;
+        }
+    }
+    ObjectTrackingTable::from_rows(rows).unwrap()
+}
+
+fn hosted_count(plan: &FloorPlan) -> (usize, usize) {
+    (plan.pois().iter().filter(|p| plan.poi_cell(p.id).is_some()).count(), plan.pois().len())
+}
+
+#[test]
+fn plans_resolve_their_host_cells() {
+    let synthetic = inflow::workload::build_floor_plan(&SyntheticConfig::default());
+    assert_eq!(hosted_count(&synthetic), (75, 75));
+    let cph = inflow::workload::build_airport_plan(&CphConfig::default()).0;
+    assert_eq!(hosted_count(&cph), (75, 75));
+    for plan in [office_plan(6), library_plan(4)] {
+        let (hosted, all) = hosted_count(&plan);
+        assert_eq!(hosted, all);
+    }
+    // The fare-gate POIs straddle the ticket hall and the concourse.
+    let metro = metro_station_plan(8);
+    assert_eq!(hosted_count(&metro), (3, 11));
+    for poi in metro.pois() {
+        assert_eq!(metro.poi_cell(poi.id).is_none(), poi.name.starts_with("poi-gate-"));
+    }
+    let walls = walls_plan();
+    let hosts: Vec<_> = walls.pois().iter().map(|p| walls.poi_cell(p.id).map(|c| c.0)).collect();
+    assert_eq!(hosts, [Some(1), Some(2), Some(3), Some(4), Some(0), None, None]);
+}
+
+/// Presence with host cells against [`per_cell_area`] of the plain view,
+/// bit for bit, on plans where the host cell is absent or its walls carry
+/// grid corners: the metro station (fare-gate POIs straddle two halls)
+/// and the walls plan (room-sized POIs and two straddling ones).
+#[test]
+fn presence_matches_the_plain_rule_off_host_cells_and_on_walls() {
+    let mut rng = StdRng::seed_from_u64(0x0FF5);
+    for (name, plan) in [("metro", metro_station_plan(8)), ("walls", walls_plan())] {
+        let ctx = Arc::new(IndoorContext::new(plan));
+        let ott = random_ott(&ctx, 1.1, 12, &mut rng);
+        let w = Workload { ctx, ott, ground_truth: Vec::new(), vmax: 1.1 };
+        let plan = w.ctx.plan();
+        let (mut hosted, mut unhosted, mut on_walls) = (0, 0, 0);
+        for res in [GridResolution::COARSE, GridResolution::DEFAULT] {
+            let eng = engine(&w, true, res);
+            for (ur, label) in sample_urs(&w, &eng, &mut rng, 18) {
+                for poi in plan.pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())) {
+                    let view = ur.restricted_to(&poi.mbr());
+                    let window = view.mbr().intersection(&poi.mbr());
+                    let plain = if view.mbr().is_empty() {
+                        0.0
+                    } else {
+                        (per_cell_area(&view, poi.extent(), res) / poi.area()).clamp(0.0, 1.0)
+                    };
+                    let presence = eng.presence(&ur, poi);
+                    assert_eq!(
+                        presence.to_bits(),
+                        plain.to_bits(),
+                        "{name} {label} {res:?}, POI {}: {presence} vs plain {plain}",
+                        poi.name
+                    );
+                    if presence == 0.0 {
+                        continue;
+                    }
+                    match plan.poi_cell(poi.id) {
+                        None => unhosted += 1,
+                        Some(c) => {
+                            hosted += 1;
+                            let m = plan.cell(c).footprint().mbr();
+                            let walls = [m.lo.x, m.hi.x, m.lo.y, m.hi.y];
+                            let sides = [window.lo.x, window.hi.x, window.lo.y, window.hi.y];
+                            on_walls += usize::from(walls.iter().zip(sides).any(|(&w, s)| w == s));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            hosted > 10 && unhosted > 10,
+            "{name}: {hosted} hosted, {unhosted} unhosted non-zero presences"
+        );
+        if name == "walls" {
+            assert!(on_walls > 10, "{name}: only {on_walls} windows reach a wall");
+        }
+    }
 }
 
 /// `area_in_polygon` of `region` in `poi`, and the region probes it cost.
