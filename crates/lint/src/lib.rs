@@ -15,8 +15,9 @@
 //! I/O sites, panic sites), [`callgraph`] resolves a workspace call
 //! graph over them, [`interproc`] implements lock-order cycles (IL006),
 //! delta-loop purity (IL009) and the call-chain deepenings of
-//! IL002/IL003, and [`wire`] checks every protocol codec pair against a
-//! declared layout table (IL007) plus unchecked wire arithmetic (IL008).
+//! IL002/IL003, and [`wire`] flags unchecked wire arithmetic (IL008).
+//! IL007 is retired: `tests/wire_format.rs` pins the wire format by its
+//! bytes.
 //!
 //! Library layout: [`lexer`] turns source text into a token stream with
 //! test-scope flags, [`items`] indexes `fn` items for the call-graph

@@ -53,7 +53,7 @@ fn run() -> i32 {
             },
             "-h" | "--help" => {
                 println!(
-                    "inflow-lint: workspace invariant checker (IL001-IL009)\n\n\
+                    "inflow-lint: workspace invariant checker (IL001-IL006, IL008, IL009)\n\n\
                      usage: inflow-lint [--json] [--allow FILE] [--root DIR] \
                      [--baseline JSON] [--strict-unused]\n\n\
                      exit codes: 0 clean, 1 findings, 2 usage/io error"

@@ -1,10 +1,12 @@
-//! The project lint catalog: IL001–IL005.
+//! The file-local lint rules, IL001–IL005, and [`analyze`], which runs
+//! the whole catalog: IL001–IL006, IL008 and IL009.
 //!
-//! Every rule works on the token stream from [`crate::lexer`] (plus the
-//! fn index from [`crate::items`] for IL005), operates only on non-test
-//! tokens, and emits [`Finding`]s carrying a stable lint ID, `file:line`
-//! and a one-line fix hint. Rules are heuristic by design — they favor
-//! the occasional reasoned `lint.allow` entry over missed violations.
+//! Every file-local rule works on the token stream from
+//! [`crate::lexer`] (plus the fn index from [`crate::items`] for IL005),
+//! operates only on non-test tokens, and emits [`Finding`]s carrying a
+//! stable lint ID, `file:line` and a one-line fix hint. Rules are
+//! heuristic by design — they favor the occasional reasoned
+//! `lint.allow` entry over missed violations.
 
 use crate::items::{index_fns, FnItem};
 use crate::lexer::{lex, Tok, TokKind};
@@ -29,7 +31,7 @@ impl SourceFile {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable lint ID: `IL001` … `IL005`.
+    /// Stable lint ID: `IL001` … `IL009` (`IL007` is retired).
     pub lint: &'static str,
     pub path: String,
     pub line: u32,
@@ -60,14 +62,13 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     il005_service_coverage(files, &mut out);
     il005_subkind_counter_coverage(files, &mut out);
     // The interprocedural catalog: a shared call graph, then the
-    // reachability rules (deepened IL002/IL003, IL006, IL009) and the
-    // wire-contract rules (IL007/IL008).
+    // reachability rules (deepened IL002/IL003, IL006, IL009), then
+    // unchecked wire arithmetic (IL008).
     let graph = crate::callgraph::CallGraph::build(files);
     crate::interproc::il002_reachable_panics(&graph, &mut out);
     crate::interproc::il003_guard_into_io(&graph, &mut out);
     crate::interproc::il006_lock_order(&graph, &mut out);
     crate::interproc::il009_delta_purity(&graph, &mut out);
-    crate::wire::il007_wire_symmetry(files, &mut out);
     crate::wire::il008_wire_arithmetic(files, &mut out);
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.lint).cmp(&(b.path.as_str(), b.line, b.lint)));
     out
@@ -332,7 +333,7 @@ fn il003_guard_across_io(f: &SourceFile, out: &mut Vec<Finding>) {
 /// The on-disk/wire magics. This const is itself the shape the lint
 /// demands: magic literals may only appear in a `const … _MAGIC`-style
 /// definition statement.
-pub(crate) const FORMAT_MAGIC: [&str; 6] =
+const FORMAT_MAGIC: [&str; 6] =
     ["IFWAL001", "IFSNP001", "IFCKP001", "IFRPL001", "IFSEG001", "IFMAN001"];
 
 /// The single module allowed to call `from_le_bytes`: the bounds-checked

@@ -1,293 +1,20 @@
-//! IL007 wire-format symmetry and IL008 unchecked wire arithmetic.
-//!
-//! IL007 checks every protocol codec pair field-by-field against a
-//! single declared layout table ([`PAIRS`]): the table is the canonical
-//! statement of the wire format, the encoder is checked against its
-//! per-variant linearization (widths and written-identifier labels), the
-//! decoder against its flat read sequence (accessor kinds and exact
-//! label strings). A new frame kind that encodes what it doesn't decode
-//! — or a swapped `ts`/`te` — is a lint error naming the field, not a
-//! replay divergence at runtime. The store-format magics get a
-//! complementary symmetry check: each `IF*` magic is defined exactly
-//! once and referenced on both the write and the verify side.
+//! IL008 unchecked wire arithmetic.
 //!
 //! IL008 taints `let` bindings fed from raw `Cursor::u32`/`u64` reads
 //! and flags `+`/`*`/`as` on them unless routed through
 //! `Cursor::count`/`checked_*`/clamping — the unchecked
-//! `Vec::with_capacity(n as usize)` class of bug.
+//! `Vec::with_capacity(n as usize)` class of bug. The wire layouts
+//! themselves are pinned by their bytes in `tests/wire_format.rs`.
 
 use crate::ast::parse_fns;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{Finding, SourceFile, FORMAT_MAGIC};
-use std::collections::{HashMap, HashSet};
+use crate::rules::{Finding, SourceFile};
+use std::collections::HashSet;
 
-/// The single module whose codec pairs are held to the layout table.
-const PROTOCOL_MODULE: &str = "crates/service/src/protocol.rs";
 /// The framing module is the sanctioned raw-parse layer; its own
 /// arithmetic sits behind explicit bounds checks and is exempt from
 /// IL008 (consistent with its IL002/IL004 treatment).
 const FRAME_MODULE: &str = "crates/tracking/src/store/frame.rs";
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Kind {
-    U8,
-    U32,
-    U64,
-    F64,
-    /// A u32 element count that gates a following repeated section; the
-    /// decoder must read it via `Cursor::count` (or at minimum `u32`).
-    Count,
-}
-
-impl Kind {
-    fn width(self) -> usize {
-        match self {
-            Kind::U8 => 1,
-            Kind::U32 | Kind::Count => 4,
-            Kind::U64 | Kind::F64 => 8,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-pub struct Field {
-    kind: Kind,
-    label: &'static str,
-}
-
-const fn f(kind: Kind, label: &'static str) -> Field {
-    Field { kind, label }
-}
-
-/// A declared payload layout. `variants` model a leading discriminator:
-/// the encoder writes `head + one variant` per match arm (so its
-/// linearization repeats the head per variant), the decoder reads the
-/// head once and then every variant branch appears in source order.
-/// Repeated sections (count-gated loops) are declared once.
-pub struct Layout {
-    head: &'static [Field],
-    variants: &'static [&'static [Field]],
-    tail: &'static [Field],
-}
-
-impl Layout {
-    fn encoder_fields(&self) -> Vec<Field> {
-        let mut v = Vec::new();
-        if self.variants.is_empty() {
-            v.extend_from_slice(self.head);
-        } else {
-            for var in self.variants {
-                v.extend_from_slice(self.head);
-                v.extend_from_slice(var);
-            }
-        }
-        v.extend_from_slice(self.tail);
-        v
-    }
-
-    fn decoder_fields(&self) -> Vec<Field> {
-        let mut v = Vec::new();
-        v.extend_from_slice(self.head);
-        for var in self.variants {
-            v.extend_from_slice(var);
-        }
-        v.extend_from_slice(self.tail);
-        v
-    }
-}
-
-pub struct Pair {
-    name: &'static str,
-    enc: &'static str,
-    /// `None` when the decoder side is owned by another pair (the
-    /// subspec decoder is `decode_subscribe`, checked by `subscribe`).
-    dec: Option<&'static str>,
-    layout: Layout,
-}
-
-const SUBSPEC_HEAD: &[Field] = &[f(Kind::U8, "kind")];
-const SUBSPEC_VARIANTS: &[&[Field]] = &[
-    &[f(Kind::F64, "t"), f(Kind::F64, "pad")],
-    &[f(Kind::F64, "ts"), f(Kind::F64, "te")],
-    &[f(Kind::F64, "t"), f(Kind::U32, "kq"), f(Kind::U32, "kmax")],
-    &[f(Kind::F64, "ts"), f(Kind::F64, "te"), f(Kind::F64, "d")],
-];
-const SUBSPEC_TAIL: &[Field] =
-    &[f(Kind::U32, "k"), f(Kind::F64, "epsilon"), f(Kind::Count, "poi count"), f(Kind::U32, "poi")];
-const SUBSCRIBE_TAIL: &[Field] = &[
-    f(Kind::U32, "k"),
-    f(Kind::F64, "epsilon"),
-    f(Kind::Count, "poi count"),
-    f(Kind::U32, "poi"),
-    f(Kind::U64, "resume last_seq"),
-    f(Kind::U64, "resume last_hash"),
-];
-const RANKED_FIELDS: &[Field] =
-    &[f(Kind::Count, "entry count"), f(Kind::U32, "poi"), f(Kind::F64, "flow")];
-
-/// The declared wire layouts — the one table both codec sides answer to.
-pub const PAIRS: &[Pair] = &[
-    Pair {
-        name: "publish",
-        enc: "encode_publish",
-        dec: Some("decode_publish"),
-        layout: Layout {
-            head: &[
-                f(Kind::Count, "reading count"),
-                f(Kind::U32, "object"),
-                f(Kind::U32, "device"),
-                f(Kind::F64, "t"),
-            ],
-            variants: &[],
-            tail: &[],
-        },
-    },
-    Pair {
-        name: "subspec",
-        enc: "encode_subspec",
-        dec: None,
-        layout: Layout { head: SUBSPEC_HEAD, variants: SUBSPEC_VARIANTS, tail: SUBSPEC_TAIL },
-    },
-    Pair {
-        name: "subscribe",
-        enc: "encode_subscribe",
-        dec: Some("decode_subscribe"),
-        layout: Layout { head: SUBSPEC_HEAD, variants: SUBSPEC_VARIANTS, tail: SUBSCRIBE_TAIL },
-    },
-    Pair {
-        name: "ranked",
-        enc: "encode_ranked",
-        dec: Some("decode_ranked"),
-        layout: Layout { head: RANKED_FIELDS, variants: &[], tail: &[] },
-    },
-    Pair {
-        name: "update",
-        enc: "encode_update_traced",
-        dec: Some("decode_update"),
-        layout: Layout {
-            head: &[
-                f(Kind::U64, "sub id"),
-                f(Kind::U64, "seq"),
-                f(Kind::Count, "entry count"),
-                f(Kind::U32, "poi"),
-                f(Kind::F64, "flow"),
-                f(Kind::U64, "trace id"),
-                f(Kind::U8, "hop count"),
-                f(Kind::U8, "hop code"),
-                f(Kind::U64, "hop at_ns"),
-            ],
-            variants: &[],
-            tail: &[],
-        },
-    },
-    Pair {
-        name: "rows",
-        enc: "encode_rows",
-        dec: Some("decode_rows"),
-        layout: Layout {
-            head: &[
-                f(Kind::Count, "row count"),
-                f(Kind::U32, "object"),
-                f(Kind::U32, "device"),
-                f(Kind::F64, "ts"),
-                f(Kind::F64, "te"),
-            ],
-            variants: &[],
-            tail: &[],
-        },
-    },
-    Pair {
-        name: "u64",
-        enc: "encode_u64",
-        dec: Some("decode_u64"),
-        layout: Layout { head: &[f(Kind::U64, "id")], variants: &[], tail: &[] },
-    },
-    Pair {
-        name: "state_hash",
-        enc: "encode_state_hash",
-        dec: Some("decode_state_hash"),
-        layout: Layout {
-            head: &[
-                f(Kind::U64, "engine hash"),
-                f(Kind::Count, "shard count"),
-                f(Kind::U64, "shard hash"),
-            ],
-            variants: &[],
-            tail: &[],
-        },
-    },
-    Pair {
-        name: "u32",
-        enc: "encode_u32",
-        dec: Some("decode_u32"),
-        layout: Layout { head: &[f(Kind::U32, "version")], variants: &[], tail: &[] },
-    },
-];
-
-/// Frame-module fixed-width helpers an encoder may splice in, declared
-/// by their field expansion; plus module-local sub-encoders, which
-/// expand to their pair's encoder linearization.
-fn splice_fields(name: &str) -> Option<Vec<Field>> {
-    match name {
-        "encode_reading" => {
-            Some(vec![f(Kind::U32, "object"), f(Kind::U32, "device"), f(Kind::F64, "t")])
-        }
-        "encode_row" => Some(vec![
-            f(Kind::U32, "object"),
-            f(Kind::U32, "device"),
-            f(Kind::F64, "ts"),
-            f(Kind::F64, "te"),
-        ]),
-        _ => PAIRS.iter().find(|p| p.enc == name).map(|p| p.layout.encoder_fields()),
-    }
-}
-
-/// Idents that never name the field being written (receivers, plumbing,
-/// type names); the *last* remaining ident in a write statement is the
-/// label the encoder is claiming.
-const LABEL_STOPWORDS: [&str; 24] = [
-    "b",
-    "buf",
-    "out",
-    "extend_from_slice",
-    "to_le_bytes",
-    "to_vec",
-    "to_bits",
-    "push",
-    "as",
-    "let",
-    "mut",
-    "if",
-    "else",
-    "for",
-    "in",
-    "while",
-    "self",
-    "frame",
-    "u8",
-    "u16",
-    "u32",
-    "u64",
-    "usize",
-    "f64",
-];
-
-/// Does written-ident `ident` plausibly name declared field `label`?
-/// Labels are phrases ("resume last_seq"); any word, the last word, or
-/// the underscored phrase counts.
-fn label_matches(ident: &str, label: &str) -> bool {
-    label == ident
-        || label.replace(' ', "_") == ident
-        || label.split_whitespace().any(|w| w == ident)
-}
-
-/// The stricter form used to accuse a *different* field (swap report):
-/// exact, underscored, or last-word equality only.
-fn label_matches_strict(ident: &str, label: &str) -> bool {
-    label == ident
-        || label.replace(' ', "_") == ident
-        || label.split_whitespace().next_back() == Some(ident)
-}
 
 /// Statement ranges `[lo, hi)` within a body: split on `;`, `{`, `}`.
 fn stmts(toks: &[Tok], body: (usize, usize)) -> Vec<(usize, usize)> {
@@ -307,476 +34,6 @@ fn stmts(toks: &[Tok], body: (usize, usize)) -> Vec<(usize, usize)> {
     }
     out
 }
-
-/// One write the encoder performs, in source order.
-enum EncOp {
-    /// A call to a declared helper/sub-encoder: expands to its fields.
-    Splice(String),
-    /// A direct write: inferred byte width and claimed label, if any.
-    Write { width: Option<usize>, label: Option<String>, line: u32 },
-}
-
-/// `name: u8/u32/…` parameter types from the signature, for width
-/// inference on `&v.to_le_bytes()` writes.
-fn param_widths(toks: &[Tok], sig: (usize, usize)) -> HashMap<String, usize> {
-    let mut m = HashMap::new();
-    let range = &toks[sig.0..sig.1.min(toks.len())];
-    for i in 0..range.len().saturating_sub(2) {
-        if range[i].kind == TokKind::Ident && range[i + 1].is_punct(":") {
-            let w = match range[i + 2].text.as_str() {
-                "u8" => Some(1),
-                "u16" => Some(2),
-                "u32" | "f32" => Some(4),
-                "u64" | "f64" => Some(8),
-                _ => None,
-            };
-            if let Some(w) = w {
-                m.insert(range[i].text.clone(), w);
-            }
-        }
-    }
-    m
-}
-
-fn num_suffix_width(text: &str) -> Option<usize> {
-    for (suf, w) in [("u8", 1), ("u16", 2), ("u32", 4), ("f32", 4), ("u64", 8), ("f64", 8)] {
-        if text.ends_with(suf) {
-            return Some(w);
-        }
-    }
-    None
-}
-
-fn encoder_ops(toks: &[Tok], body: (usize, usize), params: &HashMap<String, usize>) -> Vec<EncOp> {
-    let mut ops = Vec::new();
-    for (lo, hi) in stmts(toks, body) {
-        let s = &toks[lo..hi];
-        if let Some(sp) = s.iter().enumerate().find_map(|(i, t)| {
-            (t.kind == TokKind::Ident
-                && splice_fields(&t.text).is_some()
-                && matches!(s.get(i + 1), Some(n) if n.is_punct("(")))
-            .then(|| t.text.clone())
-        }) {
-            ops.push(EncOp::Splice(sp));
-            continue;
-        }
-        let tlb = s.iter().position(|t| t.is_ident("to_le_bytes"));
-        let is_push = s
-            .iter()
-            .enumerate()
-            .any(|(i, t)| t.is_ident("push") && matches!(s.get(i + 1), Some(n) if n.is_punct("(")));
-        if tlb.is_none() && !is_push {
-            continue;
-        }
-        let scan_end = tlb.unwrap_or(s.len());
-        let label = s[..scan_end]
-            .iter()
-            .rfind(|t| t.kind == TokKind::Ident && !LABEL_STOPWORDS.contains(&t.text.as_str()))
-            .map(|t| t.text.clone());
-        let width = if tlb.is_none() {
-            Some(1) // `.push(byte)`
-        } else {
-            // Priority: an `as uN` cast, a suffixed literal, `to_bits`
-            // (f64), then the parameter's declared type.
-            s.iter()
-                .enumerate()
-                .rev()
-                .find_map(|(i, t)| {
-                    (t.is_ident("as") && i + 1 < s.len())
-                        .then(|| num_suffix_width(&s[i + 1].text))
-                        .flatten()
-                })
-                .or_else(|| {
-                    let i = scan_end;
-                    (i >= 2 && s[i - 1].is_punct(".") && s[i - 2].kind == TokKind::Num)
-                        .then(|| num_suffix_width(&s[i - 2].text))
-                        .flatten()
-                })
-                .or_else(|| s.iter().any(|t| t.is_ident("to_bits")).then_some(8))
-                .or_else(|| label.as_deref().and_then(|l| params.get(l).copied()))
-        };
-        let line = s[tlb.unwrap_or(0)].line;
-        ops.push(EncOp::Write { width, label, line });
-    }
-    ops
-}
-
-fn check_encoder(
-    pair: &Pair,
-    rel: &str,
-    toks: &[Tok],
-    sig: (usize, usize),
-    body: (usize, usize),
-    fn_line: u32,
-    out: &mut Vec<Finding>,
-) {
-    let expected = pair.layout.encoder_fields();
-    let params = param_widths(toks, sig);
-    let ops = encoder_ops(toks, body, &params);
-    let mut i = 0usize;
-    for op in &ops {
-        match op {
-            EncOp::Splice(name) => {
-                for sf in splice_fields(name).unwrap_or_default() {
-                    match expected.get(i) {
-                        Some(e) if e.kind == sf.kind && e.label == sf.label => i += 1,
-                        Some(e) => {
-                            out.push(finding007(
-                                rel,
-                                fn_line,
-                                format!(
-                                    "codec pair `{}`: `{}` splices field `{}` where the layout \
-                                     declares `{}`",
-                                    pair.name, name, sf.label, e.label
-                                ),
-                            ));
-                            return;
-                        }
-                        None => {
-                            i += 1; // counted; over-write reported below
-                        }
-                    }
-                }
-            }
-            EncOp::Write { width, label, line } => {
-                let Some(e) = expected.get(i) else {
-                    i += 1;
-                    continue;
-                };
-                if let Some(w) = width {
-                    if *w != e.kind.width() {
-                        out.push(finding007(
-                            rel,
-                            *line,
-                            format!(
-                                "codec pair `{}`: encoder writes {} bytes where field `{}` \
-                                 is declared {} bytes",
-                                pair.name,
-                                w,
-                                e.label,
-                                e.kind.width()
-                            ),
-                        ));
-                    }
-                }
-                if let Some(l) = label {
-                    if !label_matches(l, e.label) {
-                        if let Some(other) = expected
-                            .iter()
-                            .find(|o| o.label != e.label && label_matches_strict(l, o.label))
-                        {
-                            out.push(finding007(
-                                rel,
-                                *line,
-                                format!(
-                                    "codec pair `{}`: encoder writes `{}` where field `{}` is \
-                                     declared (matches declared field `{}` — swapped?)",
-                                    pair.name, l, e.label, other.label
-                                ),
-                            ));
-                        }
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-    if i != expected.len() {
-        out.push(finding007(
-            rel,
-            fn_line,
-            format!(
-                "codec pair `{}`: encoder writes {} fields where the layout declares {}",
-                pair.name,
-                i,
-                expected.len()
-            ),
-        ));
-    }
-}
-
-/// Cursor accessor reads a decoder performs, in source order.
-struct DecOp {
-    kind: Kind,
-    label: String,
-    line: u32,
-}
-
-fn decoder_ops(toks: &[Tok], body: (usize, usize)) -> Vec<DecOp> {
-    let (lo, hi) = (body.0, body.1.min(toks.len()));
-    let mut ops = Vec::new();
-    for i in lo..hi {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || i == lo || !toks[i - 1].is_punct(".") {
-            continue;
-        }
-        let kind = match t.text.as_str() {
-            "u8" => Kind::U8,
-            "u32" => Kind::U32,
-            "u64" => Kind::U64,
-            "f64" | "finite_f64" => Kind::F64,
-            "count" => Kind::Count,
-            _ => continue,
-        };
-        if !matches!(toks.get(i + 1), Some(n) if n.is_punct("(")) {
-            continue;
-        }
-        let Some(lab) = toks.get(i + 2).filter(|l| l.kind == TokKind::Str) else { continue };
-        ops.push(DecOp { kind, label: lab.text.clone(), line: t.line });
-    }
-    ops
-}
-
-fn dec_kind_ok(op: Kind, declared: Kind) -> bool {
-    op == declared || (declared == Kind::Count && op == Kind::U32)
-}
-
-fn check_decoder(
-    pair: &Pair,
-    rel: &str,
-    toks: &[Tok],
-    body: (usize, usize),
-    fn_line: u32,
-    out: &mut Vec<Finding>,
-) {
-    let expected = pair.layout.decoder_fields();
-    let ops = decoder_ops(toks, body);
-    for (i, e) in expected.iter().enumerate() {
-        let Some(op) = ops.get(i) else {
-            out.push(finding007(
-                rel,
-                fn_line,
-                format!(
-                    "codec pair `{}`: decoder reads {} fields where the layout declares {} \
-                     (first missing: `{}`)",
-                    pair.name,
-                    ops.len(),
-                    expected.len(),
-                    e.label
-                ),
-            ));
-            return;
-        };
-        if !dec_kind_ok(op.kind, e.kind) {
-            out.push(finding007(
-                rel,
-                op.line,
-                format!(
-                    "codec pair `{}`: decoder reads `{}` as {:?} where the layout declares \
-                     field `{}` as {:?}",
-                    pair.name, op.label, op.kind, e.label, e.kind
-                ),
-            ));
-            return;
-        }
-        if op.label != e.label {
-            out.push(finding007(
-                rel,
-                op.line,
-                format!(
-                    "codec pair `{}`: decoder reads `{}` where the layout declares field `{}`",
-                    pair.name, op.label, e.label
-                ),
-            ));
-            return;
-        }
-    }
-    if ops.len() > expected.len() {
-        out.push(finding007(
-            rel,
-            ops[expected.len()].line,
-            format!(
-                "codec pair `{}`: decoder reads {} fields where the layout declares {}",
-                pair.name,
-                ops.len(),
-                expected.len()
-            ),
-        ));
-    }
-}
-
-fn finding007(rel: &str, line: u32, message: String) -> Finding {
-    Finding {
-        lint: "IL007",
-        path: rel.to_string(),
-        line,
-        message,
-        hint: "bring encoder, decoder and the declared layout table (lint::wire::PAIRS) \
-               back into agreement — the table is the wire contract",
-    }
-}
-
-/// IL007 over one protocol module: every pair's two sides against the
-/// table, plus completeness — an `encode_*`/`decode_*` fn that is
-/// neither a pair member nor a wrapper delegating to one has silently
-/// left the contract.
-fn il007_module(file: &SourceFile, out: &mut Vec<Finding>) {
-    let items = parse_fns(&file.toks);
-    let by_name: HashMap<&str, &crate::ast::AstFn> =
-        items.iter().filter(|i| !i.in_test).map(|i| (i.name.as_str(), i)).collect();
-    let mut covered: HashSet<&str> = HashSet::new();
-    covered.extend(["encode_reading", "encode_row"]);
-    for pair in PAIRS {
-        covered.insert(pair.enc);
-        if let Some(d) = pair.dec {
-            covered.insert(d);
-        }
-        match (by_name.get(pair.enc), pair.dec.and_then(|d| by_name.get(d))) {
-            (None, None) => continue, // pair absent from this module (fixtures)
-            (enc, dec) => {
-                match enc {
-                    Some(it) => {
-                        if let Some(body) = it.body {
-                            check_encoder(pair, &file.rel, &file.toks, it.sig, body, it.line, out);
-                        }
-                    }
-                    None => out.push(finding007(
-                        &file.rel,
-                        1,
-                        format!(
-                            "codec pair `{}`: decoder present but encoder `{}` is missing",
-                            pair.name, pair.enc
-                        ),
-                    )),
-                }
-                match (pair.dec, dec) {
-                    (Some(name), None) => out.push(finding007(
-                        &file.rel,
-                        1,
-                        format!(
-                            "codec pair `{}`: encoder present but decoder `{}` is missing",
-                            pair.name, name
-                        ),
-                    )),
-                    (_, Some(it)) => {
-                        if let Some(body) = it.body {
-                            check_decoder(pair, &file.rel, &file.toks, body, it.line, out);
-                        }
-                    }
-                    (None, None) => {}
-                }
-            }
-        }
-    }
-    // Completeness: wrappers are covered by calling a covered codec.
-    for it in items.iter().filter(|i| !i.in_test) {
-        let is_enc = it.name.starts_with("encode_");
-        let is_dec = it.name.starts_with("decode_") && toks_mention(&file.toks, it.sig, "payload");
-        if (!is_enc && !is_dec) || covered.contains(it.name.as_str()) {
-            continue;
-        }
-        let delegates = it.body.is_some_and(|(lo, hi)| {
-            file.toks[lo..hi.min(file.toks.len())]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && covered.contains(t.text.as_str()))
-        });
-        if !delegates {
-            out.push(finding007(
-                &file.rel,
-                it.line,
-                format!(
-                    "codec `{}` is not covered by any declared wire layout (add a \
-                     lint::wire::PAIRS entry)",
-                    it.name
-                ),
-            ));
-        }
-    }
-}
-
-fn toks_mention(toks: &[Tok], range: (usize, usize), name: &str) -> bool {
-    toks[range.0..range.1.min(toks.len())].iter().any(|t| t.is_ident(name))
-}
-
-/// Store-format magic symmetry: each `IF*` magic string is defined in
-/// exactly one `const *_MAGIC`, and that const is referenced at least
-/// twice outside its definition — once writing, once verifying. A magic
-/// that is written but never checked (or vice versa) lets the two sides
-/// of the format drift.
-fn il007_magics(files: &[SourceFile], out: &mut Vec<Finding>) {
-    // magic string -> definitions (file, line, const name).
-    let mut defs: HashMap<&str, Vec<(String, u32, String)>> = HashMap::new();
-    for file in files {
-        // The lint crate itself carries the magic table as data.
-        if file.rel.starts_with("crates/lint/") {
-            continue;
-        }
-        for (i, t) in file.toks.iter().enumerate() {
-            if t.in_test || t.kind != TokKind::Str {
-                continue;
-            }
-            let Some(magic) = FORMAT_MAGIC.iter().find(|m| t.text.contains(*m)) else { continue };
-            let start = crate::rules::stmt_start(&file.toks, i);
-            let name = file.toks[start..i]
-                .iter()
-                .find(|s| s.kind == TokKind::Ident && s.text.ends_with("_MAGIC"))
-                .map(|s| s.text.clone());
-            if let Some(name) = name {
-                defs.entry(magic).or_default().push((file.rel.clone(), t.line, name));
-            }
-        }
-    }
-    let mut magics: Vec<&&str> = defs.keys().collect();
-    magics.sort();
-    for magic in magics {
-        let d = &defs[*magic];
-        if d.len() > 1 {
-            let places =
-                d.iter().map(|(f, l, _)| format!("{f}:{l}")).collect::<Vec<_>>().join(", ");
-            out.push(Finding {
-                lint: "IL007",
-                path: d[0].0.clone(),
-                line: d[0].1,
-                message: format!(
-                    "format magic \"{magic}\" defined in more than one const: {places}"
-                ),
-                hint: "one magic, one const; re-spelled definitions drift independently",
-            });
-            continue;
-        }
-        let (def_file, def_line, name) = &d[0];
-        let refs: usize = files
-            .iter()
-            .filter(|file| !file.rel.starts_with("crates/lint/"))
-            .map(|file| {
-                file.toks
-                    .iter()
-                    .filter(|t| {
-                        !t.in_test
-                            && t.kind == TokKind::Ident
-                            && t.text == *name
-                            && !(file.rel == *def_file && t.line == *def_line)
-                    })
-                    .count()
-            })
-            .sum();
-        if refs < 2 {
-            out.push(Finding {
-                lint: "IL007",
-                path: def_file.clone(),
-                line: *def_line,
-                message: format!(
-                    "format magic `{name}` is referenced {refs} time(s) outside its \
-                     definition — a magic must be both written and verified"
-                ),
-                hint: "write the const when encoding and starts_with-check it when \
-                       decoding; a one-sided magic cannot catch format drift",
-            });
-        }
-    }
-}
-
-/// IL007 entry point.
-pub fn il007_wire_symmetry(files: &[SourceFile], out: &mut Vec<Finding>) {
-    for file in files {
-        if file.rel == PROTOCOL_MODULE {
-            il007_module(file, out);
-        }
-    }
-    il007_magics(files, out);
-}
-
-// ---------------------------------------------------------------- IL008
 
 const IL008_HINT: &str = "read counts via Cursor::count (validates against remaining \
                           payload) or clamp/check: .min(..), checked_add/checked_mul";
@@ -917,173 +174,6 @@ fn il008_body(file: &SourceFile, body: (usize, usize), out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lint_protocol(src: &str) -> Vec<Finding> {
-        let files = vec![SourceFile::new(PROTOCOL_MODULE, src)];
-        let mut out = Vec::new();
-        il007_wire_symmetry(&files, &mut out);
-        out
-    }
-
-    #[test]
-    fn matched_pair_is_clean() {
-        let out = lint_protocol(
-            r#"
-            pub fn encode_ranked(ranked: &[(PoiId, f64)]) -> Vec<u8> {
-                let mut b = Vec::new();
-                b.extend_from_slice(&(ranked.len() as u32).to_le_bytes());
-                for &(p, flow) in ranked {
-                    b.extend_from_slice(&p.0.to_le_bytes());
-                    b.extend_from_slice(&flow.to_le_bytes());
-                }
-                b
-            }
-            pub fn decode_ranked(payload: &[u8]) -> io::Result<Vec<(PoiId, f64)>> {
-                let mut c = cursor(payload);
-                let n = c.u32("entry count").map_err(decode_err)? as usize;
-                for _ in 0..n {
-                    let p = c.u32("poi").map_err(decode_err)?;
-                    let f = c.finite_f64("flow").map_err(decode_err)?;
-                }
-                Ok(out)
-            }
-        "#,
-        );
-        assert!(out.iter().all(|f| f.lint != "IL007"), "{out:?}");
-    }
-
-    #[test]
-    fn desynced_decoder_names_the_field() {
-        // Decoder reads flow before poi: order desync.
-        let out = lint_protocol(
-            r#"
-            pub fn encode_ranked(ranked: &[(PoiId, f64)]) -> Vec<u8> {
-                let mut b = Vec::new();
-                b.extend_from_slice(&(ranked.len() as u32).to_le_bytes());
-                for &(p, flow) in ranked {
-                    b.extend_from_slice(&p.0.to_le_bytes());
-                    b.extend_from_slice(&flow.to_le_bytes());
-                }
-                b
-            }
-            pub fn decode_ranked(payload: &[u8]) -> io::Result<Vec<(PoiId, f64)>> {
-                let mut c = cursor(payload);
-                let n = c.u32("entry count").map_err(decode_err)?;
-                for _ in 0..n {
-                    let f = c.finite_f64("flow").map_err(decode_err)?;
-                    let p = c.u32("poi").map_err(decode_err)?;
-                }
-                Ok(out)
-            }
-        "#,
-        );
-        let f = out.iter().find(|f| f.lint == "IL007").expect("desync");
-        assert!(f.message.contains("`flow`") && f.message.contains("`poi`"), "{}", f.message);
-    }
-
-    #[test]
-    fn swapped_encoder_idents_are_reported() {
-        let out = lint_protocol(
-            r#"
-            pub fn encode_rows(rows: &[OttRow]) -> Vec<u8> {
-                let mut b = Vec::new();
-                b.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for r in rows {
-                    b.extend_from_slice(&r.object.to_le_bytes());
-                    b.extend_from_slice(&r.device.to_le_bytes());
-                    b.extend_from_slice(&r.te.to_le_bytes());
-                    b.extend_from_slice(&r.ts.to_le_bytes());
-                }
-                b
-            }
-            pub fn decode_rows(payload: &[u8]) -> io::Result<Vec<OttRow>> {
-                let mut c = cursor(payload);
-                let n = c.u32("row count").map_err(decode_err)?;
-                for _ in 0..n {
-                    let o = c.u32("object").map_err(decode_err)?;
-                    let d = c.u32("device").map_err(decode_err)?;
-                    let ts = c.finite_f64("ts").map_err(decode_err)?;
-                    let te = c.finite_f64("te").map_err(decode_err)?;
-                }
-                Ok(out)
-            }
-        "#,
-        );
-        let f = out.iter().find(|f| f.message.contains("swapped")).expect("swap");
-        assert!(f.message.contains("`te`") && f.message.contains("`ts`"), "{}", f.message);
-    }
-
-    #[test]
-    fn width_mismatch_is_reported() {
-        let out = lint_protocol(
-            r#"
-            pub fn encode_u32(v: u32) -> Vec<u8> {
-                v.to_le_bytes().to_vec()
-            }
-            pub fn decode_u32(payload: &[u8]) -> io::Result<u32> {
-                let mut c = cursor(payload);
-                let v = c.u32("version").map_err(decode_err)?;
-                Ok(v)
-            }
-            pub fn encode_u64(v: u32) -> Vec<u8> {
-                v.to_le_bytes().to_vec()
-            }
-            pub fn decode_u64(payload: &[u8]) -> io::Result<u64> {
-                let mut c = cursor(payload);
-                let v = c.u64("id").map_err(decode_err)?;
-                Ok(v)
-            }
-        "#,
-        );
-        let f = out.iter().find(|f| f.message.contains("bytes")).expect("width");
-        assert!(f.message.contains("`id`"), "{}", f.message);
-        assert_eq!(out.len(), 1, "{out:?}");
-    }
-
-    #[test]
-    fn uncovered_codec_is_reported() {
-        let out = lint_protocol(
-            r#"
-            pub fn encode_mystery(v: u64) -> Vec<u8> { v.to_le_bytes().to_vec() }
-            pub fn decode_mystery(payload: &[u8]) -> io::Result<u64> {
-                let mut c = cursor(payload);
-                Ok(c.u64("mystery").map_err(decode_err)?)
-            }
-        "#,
-        );
-        assert!(out.iter().any(|f| f.message.contains("encode_mystery")), "{out:?}");
-        assert!(out.iter().any(|f| f.message.contains("decode_mystery")), "{out:?}");
-    }
-
-    #[test]
-    fn one_sided_magic_is_reported() {
-        let files = vec![SourceFile::new(
-            "crates/tracking/src/store/wal.rs",
-            r#"
-            pub const WAL_MAGIC: &[u8; 8] = b"IFWAL001";
-            fn write_header(buf: &mut Vec<u8>) { buf.extend_from_slice(WAL_MAGIC); }
-            "#,
-        )];
-        let mut out = Vec::new();
-        il007_wire_symmetry(&files, &mut out);
-        let f = out.iter().find(|f| f.message.contains("WAL_MAGIC")).expect("magic");
-        assert!(f.message.contains("written and verified"), "{}", f.message);
-    }
-
-    #[test]
-    fn two_sided_magic_is_clean() {
-        let files = vec![SourceFile::new(
-            "crates/tracking/src/store/wal.rs",
-            r#"
-            pub const WAL_MAGIC: &[u8; 8] = b"IFWAL001";
-            fn write_header(buf: &mut Vec<u8>) { buf.extend_from_slice(WAL_MAGIC); }
-            fn check_header(bytes: &[u8]) -> bool { bytes.starts_with(WAL_MAGIC) }
-            "#,
-        )];
-        let mut out = Vec::new();
-        il007_wire_symmetry(&files, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
 
     fn lint008(src: &str) -> Vec<Finding> {
         let files = vec![SourceFile::new("crates/replay/src/log.rs", src)];

@@ -389,30 +389,6 @@ fn il006_consistent_lock_order_passes() {
 }
 
 #[test]
-fn il007_desynced_decoder_names_the_field() {
-    let repo = TempRepo::new("il007");
-    repo.write("crates/service/src/protocol.rs", &fixture("il007_desync.rs"));
-    let r = lint(&repo.root, &[]);
-    assert_eq!(r.code, 1, "stdout:\n{}", r.stdout);
-    assert!(
-        r.stdout.contains(
-            "IL007: codec pair `ranked`: decoder reads `flow` as U32 where the layout \
-             declares field `flow` as F64"
-        ),
-        "missing IL007 field diagnostic:\n{}",
-        r.stdout
-    );
-}
-
-#[test]
-fn il007_symmetric_pair_passes() {
-    let repo = TempRepo::new("il007-ok");
-    repo.write("crates/service/src/protocol.rs", &fixture("il007_clean.rs"));
-    let r = lint(&repo.root, &[]);
-    assert_eq!(r.code, 0, "stdout:\n{}", r.stdout);
-}
-
-#[test]
 fn il008_unchecked_wire_cast_is_diagnosed() {
     let repo = TempRepo::new("il008");
     repo.write("crates/tracking/src/store/decode.rs", &fixture("il008.rs"));

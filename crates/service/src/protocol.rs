@@ -689,37 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_kinds_keep_their_exact_byte_layout() {
-        // The pre-v4 encoder wrote `kind u8 | t/ts f64 | te f64 | trailer`
-        // for every kind. Kinds 0/1 must still produce those exact bytes
-        // so recorded replay logs and old clients stay compatible.
-        let spec = SubSpec {
-            kind: SubKind::Interval { ts: 10.0, te: 90.0 },
-            k: 5,
-            epsilon: 0.25,
-            pois: vec![PoiId(3)],
-        };
-        let mut legacy = vec![1u8];
-        legacy.extend_from_slice(&10.0f64.to_le_bytes());
-        legacy.extend_from_slice(&90.0f64.to_le_bytes());
-        legacy.extend_from_slice(&5u32.to_le_bytes());
-        legacy.extend_from_slice(&0.25f64.to_le_bytes());
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.extend_from_slice(&3u32.to_le_bytes());
-        assert_eq!(encode_subspec(&spec), legacy);
-
-        let snap =
-            SubSpec { kind: SubKind::Snapshot { t: 42.0 }, k: 1, epsilon: 0.0, pois: vec![] };
-        let mut legacy = vec![0u8];
-        legacy.extend_from_slice(&42.0f64.to_le_bytes());
-        legacy.extend_from_slice(&0.0f64.to_le_bytes());
-        legacy.extend_from_slice(&1u32.to_le_bytes());
-        legacy.extend_from_slice(&0.0f64.to_le_bytes());
-        legacy.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(encode_subspec(&snap), legacy);
-    }
-
-    #[test]
     fn subscribe_resume_section_round_trips_and_plain_stays_identical() {
         let spec = SubSpec {
             kind: SubKind::Snapshot { t: 42.0 },

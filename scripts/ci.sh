@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== inflow-lint (workspace invariants IL001-IL009; baseline: lint.allow)"
+echo "== inflow-lint (workspace invariants IL001-IL006, IL008, IL009; baseline: lint.allow)"
 # Stale lint.allow entries are a hard error (--strict-unused); findings
 # already acknowledged in lint-baseline.json are reported but don't gate.
 # The analysis itself carries a wall-time budget: the interprocedural
@@ -52,6 +52,9 @@ cargo test -q --test crash --offline
 
 echo "== store format (pinned digests; legacy snapshot/segment layouts decode)"
 cargo test -q --test store_format --test segments --offline
+
+echo "== wire format (protocol payloads, frame envelope and replay log pinned by their bytes)"
+cargo test -q --test wire_format --offline
 
 echo "== serve smoke (serve/watch/top end-to-end over TCP)"
 bash scripts/serve-smoke.sh
