@@ -44,9 +44,7 @@ pub use distrib::{
     count_distributions, CountDistribution, DistribQuery, DistribResult, DistribState, DistribTime,
 };
 pub use join::JoinConfig;
-pub use longvisit::{
-    longvisit_counts, object_dwell, DwellState, LongVisitQuery, LongVisitResult, DWELL_SAMPLES,
-};
+pub use longvisit::{longvisit_counts, object_dwell, DwellState, LongVisitQuery, LongVisitResult};
 pub use query::{rank_topk, DataQuality, IntervalQuery, QueryResult, QueryStats, SnapshotQuery};
 pub use timeline::{
     flow_timeline, ContinuousSnapshotMonitor, FlowTimeline, TimelineBucket, TopKUpdate,

@@ -9,41 +9,45 @@
 //! whose expected dwell reaches a threshold `d`, and ranks POIs by that
 //! count.
 //!
-//! The integral is evaluated piecewise: an object's presence is smooth
-//! between its tracking-record boundaries (the uncertainty-region shape
-//! only changes character when the active record or the pre/suc record
-//! pair changes), so the window is cut at every record boundary and each
-//! piece integrated with a fixed [`DWELL_SAMPLES`]-point midpoint rule
-//! over snapshot presences — the exact same per-sample primitive
-//! ([`crate::contrib::snapshot_object_contrib`]) the paper's snapshot
-//! algorithms use.
+//! The integral is evaluated piecewise, and exactly in time: the window
+//! is cut at every record boundary, and between two cuts the object's
+//! tracking state is fixed, so a point lies in its uncertainty region for
+//! one closed stretch of the piece, `[t_in(q), t_out(q)]`, linear in the
+//! point's distance from the records around it. The piece's dwell in a
+//! POI is then `(1/|p|) ∫_p T(q) dq` over the time field `T(q)` of
+//! [`inflow_uncertainty::DwellPiece`]: one spatial integration per
+//! (piece, POI) pair, whose only error is the grid's: a block where the
+//! field is positive and free of kinks is priced at the midpoint of
+//! bounds at most [`inflow_uncertainty::DWELL_EPSILON`] of the piece
+//! apart, and every other cell at its centre value.
 //!
 //! Determinism contract: [`object_dwell`] is shared verbatim by the
 //! batch path and the incremental serving engine, the per-POI threshold
-//! count accumulates integer increments in ascending object-id order,
-//! and the piece/sample loops are fixed — so streamed long-visit answers
-//! are bit-identical to batch recomputation over the same rows.
+//! count accumulates integer increments in ascending object-id order, and
+//! each piece's dwell is folded into its POI's sum in ascending-time
+//! piece order, R-tree hit order within a piece. The field integrator
+//! adapts — which blocks it refines depends on the data — but only on the
+//! piece's own records, span and POI, never on what was integrated before
+//! it or on how the window was split into segments. The same rows
+//! therefore give the same pieces, the same per-piece values and the same
+//! fold, so streamed long-visit answers are bit-identical to batch
+//! recomputation over the same rows.
 
 use crate::analytics::FlowAnalytics;
-use crate::contrib;
+use crate::profiling;
 use crate::query::{rank_topk, DataQuality, QueryStats};
 use inflow_indoor::PoiId;
-use inflow_obs::{Counter, Recorder};
+use inflow_obs::{Counter, QueryProfile, Recorder, Timer};
 use inflow_rtree::RTree;
 use inflow_tracking::{ObjectId, ObjectTrackingTable, Timestamp};
 use inflow_uncertainty::UrEngine;
 use std::collections::HashMap;
 
-/// Midpoint-rule samples per inter-boundary piece of the dwell integral.
-/// Fixed (not adaptive) so the float evaluation order — and therefore
-/// stream-vs-batch equality — never depends on data-dependent branching.
-pub const DWELL_SAMPLES: usize = 4;
-
 /// One object's expected dwell per POI over `[ts, te]`:
-/// `∫ presence(t) dt`, integrated piecewise at the object's record
-/// boundaries with a fixed midpoint rule. Entries are sorted by POI id
-/// and only positive dwells are kept. This is the shared batch/engine
-/// recompute primitive for long-visit subscriptions.
+/// `∫ presence(t) dt`, integrated exactly in time per record piece (see
+/// the module docs). Entries are sorted by POI id and only positive
+/// dwells are kept. This is the shared batch/engine recompute primitive
+/// for long-visit subscriptions.
 pub fn object_dwell(
     engine: &UrEngine,
     ott: &ObjectTrackingTable,
@@ -64,7 +68,8 @@ fn gt(a: f64, b: f64) -> bool {
 }
 
 /// [`object_dwell`] with observability: bumps `stats`/`rec` for every
-/// underlying UR derivation and presence integration.
+/// piece built (`urs_built`, [`Timer::UrDerive`]) and every (piece, POI)
+/// field integration (`presence_evaluations`, [`Timer::Presence`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn object_dwell_stats(
     engine: &UrEngine,
@@ -85,13 +90,13 @@ pub(crate) fn object_dwell_stats(
 }
 
 /// Integrates `∫ presence dt` over `[a, b]`, cutting at every record
-/// boundary strictly inside the segment and folding `presence·step`
-/// into `sums` per POI in ascending-time piece order. This is the
-/// shared quadrature core of the batch recompute and the incremental
-/// serving cache: splitting a window into consecutive segments at cut
-/// points of the full decomposition and folding each in turn produces
-/// the exact same left fold — bit-identical sums — as one pass over the
-/// whole window.
+/// boundary strictly inside the segment and folding each piece's dwell
+/// into `sums` per POI in ascending-time piece order. This is the shared
+/// quadrature core of the batch recompute and the incremental serving
+/// cache: splitting a window into consecutive segments at cut points of
+/// the full decomposition and folding each in turn produces the exact
+/// same left fold — bit-identical sums — as one pass over the whole
+/// window.
 #[allow(clippy::too_many_arguments)]
 fn integrate_segment(
     engine: &UrEngine,
@@ -108,8 +113,7 @@ fn integrate_segment(
         return;
     }
     // Cut the segment at every record boundary that falls strictly
-    // inside it: presence is smooth between cuts, so a fixed-order
-    // quadrature per piece converges cleanly.
+    // inside it: the object's state is fixed between cuts.
     let mut cuts: Vec<Timestamp> = Vec::with_capacity(2 + 2 * ott.object_records(object).len());
     cuts.push(a);
     for &rid in ott.object_records(object) {
@@ -124,18 +128,30 @@ fn integrate_segment(
     cuts.sort_by(f64::total_cmp);
     cuts.dedup();
 
+    let plan = engine.context().plan();
     for w in cuts.windows(2) {
         let (a, b) = (w[0], w[1]);
-        let step = (b - a) / DWELL_SAMPLES as f64;
-        if !gt(step, 0.0) {
+        if !gt(b, a) {
             continue;
         }
-        for s in 0..DWELL_SAMPLES {
-            let t = a + (s as f64 + 0.5) * step;
-            let Some(state) = ott.state_at(object, t) else { continue };
-            let contribs = contrib::snapshot_object_contrib(engine, ott, state, t, rp, rec, stats);
-            for (poi, presence) in contribs {
-                *sums.entry(poi).or_insert(0.0) += presence * step;
+        let Some(state) = ott.state_at(object, a + 0.5 * (b - a)) else { continue };
+        let timer = rec.start(Timer::UrDerive);
+        let piece = engine.dwell_piece(ott, state, a, b);
+        rec.stop(Timer::UrDerive, timer);
+        stats.urs_built += 1;
+        if piece.is_empty() {
+            stats.empty_urs += 1;
+            continue;
+        }
+        let (hits, visited) = rp.query_intersecting_counted(&piece.mbr());
+        stats.rtree_nodes_visited += visited;
+        for &poi in hits {
+            stats.presence_evaluations += 1;
+            let timer = rec.start(Timer::Presence);
+            let dwell = engine.dwell(&piece, plan.poi(poi));
+            rec.stop(Timer::Presence, timer);
+            if dwell > 0.0 {
+                *sums.entry(poi).or_insert(0.0) += dwell;
             }
         }
     }
@@ -269,7 +285,11 @@ pub struct LongVisitResult {
     pub ranked: Vec<(PoiId, f64)>,
     /// Every query POI's qualifying-object count, in query POI-set order.
     pub counts: Vec<(PoiId, f64)>,
+    /// Work counters. Here `urs_built` counts record pieces and
+    /// `presence_evaluations` counts (piece, POI) dwell integrations.
     pub stats: QueryStats,
+    /// The query's profile when the façade has profiling enabled.
+    pub profile: Option<Box<QueryProfile>>,
     pub quality: DataQuality,
 }
 
@@ -278,6 +298,7 @@ pub struct LongVisitResult {
 /// ascending object-id order (the serving engine's order).
 pub fn longvisit_counts(fa: &FlowAnalytics, q: &LongVisitQuery) -> LongVisitResult {
     let mut rec = fa.recorder();
+    let probes0 = profiling::probes_start(&rec);
     rec.add(Counter::LongVisitQueries, 1);
     let root = rec.enter("longvisit");
     let span = rec.enter("build_poi_rtree");
@@ -324,82 +345,6 @@ pub fn longvisit_counts(fa: &FlowAnalytics, q: &LongVisitQuery) -> LongVisitResu
     rec.exit(span);
     rec.exit(root);
     let quality = fa.quality(&stats);
-    LongVisitResult { ranked, counts: scores, stats, quality }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use inflow_geometry::{Point, Polygon};
-    use inflow_indoor::{CellKind, FloorPlanBuilder};
-    use inflow_tracking::OttRow;
-    use inflow_uncertainty::{IndoorContext, UrConfig};
-    use std::sync::Arc;
-
-    /// The incremental serving cache must reproduce the batch integral
-    /// bit-for-bit at every step of a tracker-like row evolution:
-    /// records appended one at a time, each first arriving as a short
-    /// open record whose `te` then grows (the tracker's merge).
-    #[test]
-    fn incremental_dwell_is_bit_identical_to_batch_under_appends() {
-        // A 60×20 hall with three reader-covered POIs in a row; one
-        // object walks past all three readers.
-        let mut b = FloorPlanBuilder::new();
-        b.add_cell(
-            "hall",
-            CellKind::Hallway,
-            Polygon::rectangle(Point::new(0.0, 0.0), Point::new(60.0, 20.0)),
-        );
-        let mut pois = Vec::new();
-        let mut devices = Vec::new();
-        for i in 0..3 {
-            let cx = 10.0 + i as f64 * 20.0;
-            devices.push(b.add_device(format!("dev-{i}"), Point::new(cx, 10.0), 2.0));
-            pois.push(b.add_poi(
-                format!("poi-{i}"),
-                Polygon::rectangle(Point::new(cx - 5.0, 5.0), Point::new(cx + 5.0, 15.0)),
-            ));
-        }
-        let object = ObjectId(7);
-        let full_rows: Vec<OttRow> = vec![
-            OttRow { object, device: devices[0], ts: 0.0, te: 10.0 },
-            OttRow { object, device: devices[1], ts: 18.0, te: 31.0 },
-            OttRow { object, device: devices[2], ts: 44.0, te: 52.0 },
-        ];
-        let ott = ObjectTrackingTable::from_rows(full_rows.clone()).unwrap();
-        let ctx = Arc::new(IndoorContext::new(b.build().unwrap()));
-        let fa = FlowAnalytics::new(ctx, ott, UrConfig { vmax: 2.0, ..UrConfig::default() });
-        let rp = fa.build_poi_rtree(&pois);
-        let (ts, te) = (0.0, 60.0);
-
-        let mut state = DwellState::default();
-        let mut steps = 0usize;
-        for i in 1..=full_rows.len() {
-            // The i-th record first appears as a half-open stub, then
-            // extends to its final te — exactly how the online tracker
-            // grows an open record as readings arrive.
-            let mut stub = full_rows[..i].to_vec();
-            let last = stub.last_mut().unwrap();
-            last.te = last.ts + (last.te - last.ts) / 2.0;
-            for rows in [stub, full_rows[..i].to_vec()] {
-                let ott = ObjectTrackingTable::from_rows(rows).unwrap();
-                let batch = object_dwell(fa.engine(), &ott, object, ts, te, &rp);
-                let incr = state.recompute(fa.engine(), &ott, object, ts, te, &rp);
-                assert_eq!(incr, batch, "step {steps}: incremental != batch");
-                assert!(!batch.is_empty(), "step {steps}: fixture should dwell somewhere");
-                steps += 1;
-            }
-        }
-
-        // History rewritten (repair moved a middle record): after a
-        // reset the state must agree with batch again from scratch.
-        let mut rewritten = full_rows.clone();
-        rewritten[1].ts = 20.0;
-        rewritten[1].te = 29.0;
-        let ott = ObjectTrackingTable::from_rows(rewritten).unwrap();
-        state.reset();
-        let batch = object_dwell(fa.engine(), &ott, object, ts, te, &rp);
-        let incr = state.recompute(fa.engine(), &ott, object, ts, te, &rp);
-        assert_eq!(incr, batch, "post-reset incremental != batch");
-    }
+    let profile = profiling::finish_profile(rec, &stats, probes0);
+    LongVisitResult { ranked, counts: scores, stats, profile, quality }
 }

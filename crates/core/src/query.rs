@@ -58,9 +58,11 @@ impl IntervalQuery {
 pub struct QueryStats {
     /// Objects whose tracking data overlapped the query time parameter.
     pub objects_considered: usize,
-    /// Uncertainty regions actually derived.
+    /// Uncertainty regions actually derived. Long-visit queries count
+    /// record pieces ([`inflow_uncertainty::DwellPiece`]) here.
     pub urs_built: usize,
-    /// Presence integrations performed (the dominant cost).
+    /// Presence integrations performed (the dominant cost). Long-visit
+    /// queries count (piece, POI) dwell field integrations here.
     pub presence_evaluations: usize,
     /// Object–POI pairings rejected by the cheap MBR intersection test
     /// before any integration.
@@ -81,7 +83,8 @@ pub struct QueryStats {
     pub pois_pruned: usize,
     /// Objects considered whose uncertainty region came out empty — e.g.
     /// `V_max`-infeasible record pairs (§3.2.2), degraded data, or device
-    /// outages. They contribute no flow.
+    /// outages. They contribute no flow. Long-visit queries count empty
+    /// record pieces here.
     pub empty_urs: usize,
     /// Objects considered for which no uncertainty region could be
     /// derived at all (no covering tracking records in the query range).

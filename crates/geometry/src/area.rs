@@ -19,6 +19,11 @@
 //! pass would probe, testing only the factors not yet proven. Per-cell
 //! values are summed in row-major order, so the result is the same
 //! `f64`, bit for bit, as probing every cell.
+//!
+//! [`field_in_polygon`] walks the same quadtree for a bounded scalar
+//! [`Field`] instead of an indicator: a block whose bounds are close
+//! enough is priced at their midpoint, and an unsettled cell at its
+//! centre value.
 
 use crate::mbr::Mbr;
 use crate::point::Point;
@@ -36,7 +41,9 @@ thread_local! {
 /// settled by [`Region::classify`] cost no probes, and neither do
 /// polygon-only tests below a block where the region is already proven,
 /// so the count falls as classification settles more of the grid; the
-/// classification calls themselves are not counted.
+/// classification calls themselves are not counted. Each field value
+/// [`field_in_polygon`] takes at an unsettled cell's centre counts as one
+/// probe too.
 ///
 /// Observability hook: profilers snapshot it before and after a query
 /// and report the delta as "grid probes" — the number of point-in-region
@@ -123,6 +130,148 @@ pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridRes
         window,
         res,
     )
+}
+
+/// What a [`Field`] proves over a block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FieldBounds {
+    /// `Some(false)` when the block lies outside the field's support, so
+    /// the field is zero on it; `Some(true)` when it lies inside and the
+    /// field is smooth enough over it for the midpoint of `[lo, hi]` to
+    /// price it; `None` otherwise.
+    pub support: Option<bool>,
+    /// A lower bound on the field at every point of the block inside the
+    /// support.
+    pub lo: f64,
+    /// An upper bound on the field at every point of the block.
+    pub hi: f64,
+}
+
+/// A non-negative scalar field, zero outside its support, that can bound
+/// itself over a rectangle.
+pub trait Field {
+    /// The value at `p`; zero outside the support.
+    fn value(&self, p: Point) -> f64;
+    /// Sound bounds over every point of `b`.
+    fn bounds(&self, b: &Mbr) -> FieldBounds;
+    /// A rectangle holding the support.
+    fn mbr(&self) -> Mbr;
+}
+
+/// `∫ field dA` over `polygon`, on the `res.base × res.base` cell grid of
+/// `field.mbr() ∩ polygon.mbr()`, walked as the same cell-index quadtree
+/// as [`area_in_polygon`].
+///
+/// A block is settled without a single evaluation when the polygon or
+/// the field's support proves it out, or the field's upper bound is zero;
+/// or when the polygon and the support both prove it in and the field's
+/// bounds are `tol` apart or closer: it is then priced at the midpoint of
+/// its bounds, within `tol / 2` per unit area of the exact integral. A
+/// cell no bound settles takes its centre value (one field evaluation,
+/// counted in [`integration_probes`]). Deterministic: the same inputs give
+/// the same `f64`.
+pub fn field_in_polygon(
+    field: &(impl Field + ?Sized),
+    polygon: &Polygon,
+    res: GridResolution,
+    tol: f64,
+) -> f64 {
+    let window = field.mbr().intersection(&polygon.mbr());
+    if window.is_empty() || window.width() <= 0.0 || window.height() <= 0.0 {
+        return 0.0;
+    }
+    let n = res.base;
+    let (dx, dy) = (window.width() / n as f64, window.height() / n as f64);
+    let scale = 1.0
+        + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
+    let mut grid = FieldGrid {
+        field,
+        polygon,
+        origin: window.lo,
+        dx,
+        dy,
+        pad: 1e-9 * scale,
+        cell_area: dx * dy,
+        tol,
+        probes: 0,
+    };
+    let total = grid.block(0, n, 0, n, false);
+    PROBES.with(|c| c.set(c.get().wrapping_add(grid.probes)));
+    total
+}
+
+/// One field integration: the grid geometry and the evaluations spent.
+struct FieldGrid<'a, F: ?Sized> {
+    field: &'a F,
+    polygon: &'a Polygon,
+    origin: Point,
+    dx: f64,
+    dy: f64,
+    /// Outward padding of every bounded block, as in `Grid`.
+    pad: f64,
+    cell_area: f64,
+    tol: f64,
+    probes: u64,
+}
+
+impl<F: Field + ?Sized> FieldGrid<'_, F> {
+    fn x(&self, i: usize) -> f64 {
+        self.origin.x + self.dx * i as f64
+    }
+
+    fn y(&self, j: usize) -> f64 {
+        self.origin.y + self.dy * j as f64
+    }
+
+    /// The integral over the cells `[i0, i1) × [j0, j1)`; `in_polygon`
+    /// when a block above proved the polygon in.
+    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, in_polygon: bool) -> f64 {
+        let b = Mbr::from_bounds(
+            Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
+            Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
+        );
+        // The polygon judges the block inset by the padding instead: the
+        // window's edge is an axis-rectangle POI's own edge, and no block
+        // along it could ever be proven inside otherwise. What this gives
+        // up is a sliver `pad` wide.
+        let inset = Mbr::from_bounds(
+            Point::new(self.x(i0) + self.pad, self.y(j0) + self.pad),
+            Point::new(self.x(i1) - self.pad, self.y(j1) - self.pad),
+        );
+        let in_polygon = in_polygon
+            || match self.polygon.classify(&inset) {
+                Some(false) => return 0.0,
+                Some(true) => true,
+                None => false,
+            };
+        let FieldBounds { support, lo, hi } = self.field.bounds(&b);
+        if support == Some(false) || hi <= 0.0 {
+            return 0.0;
+        }
+        let cells = ((i1 - i0) * (j1 - j0)) as f64;
+        if in_polygon && support == Some(true) && hi - lo <= self.tol {
+            return 0.5 * (lo + hi) * cells * self.cell_area;
+        }
+        if i1 - i0 == 1 && j1 - j0 == 1 {
+            let p = Point::new(self.x(i0) + 0.5 * self.dx, self.y(j0) + 0.5 * self.dy);
+            if !in_polygon && !self.polygon.contains_fast(p) {
+                return 0.0;
+            }
+            self.probes += 1;
+            return self.field.value(p) * self.cell_area;
+        }
+        let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
+        let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
+        let mut total = 0.0;
+        for (ja, jb) in [(j0, jm), (jm, j1)] {
+            for (ia, ib) in [(i0, im), (im, i1)] {
+                if ia < ib && ja < jb {
+                    total += self.block(ia, ib, ja, jb, in_polygon);
+                }
+            }
+        }
+        total
+    }
 }
 
 /// Which factors a verdict has proven in for a block and everything
@@ -463,5 +612,76 @@ mod tests {
         let a1 = area_in_polygon(&c, &poly, GridResolution::DEFAULT);
         let a2 = area_in_polygon(&c, &poly, GridResolution::DEFAULT);
         assert_eq!(a1, a2);
+    }
+
+    /// `slope · x` on a disk, with exact block bounds.
+    struct Ramp {
+        disk: Circle,
+        slope: f64,
+    }
+
+    impl Field for Ramp {
+        fn value(&self, p: Point) -> f64 {
+            if self.disk.contains(p) {
+                self.slope * p.x
+            } else {
+                0.0
+            }
+        }
+        fn bounds(&self, b: &Mbr) -> FieldBounds {
+            let support = Region::classify(&self.disk, b);
+            FieldBounds { support, lo: self.slope * b.lo.x, hi: self.slope * b.hi.x }
+        }
+        fn mbr(&self) -> Mbr {
+            self.disk.mbr()
+        }
+    }
+
+    #[test]
+    fn field_settles_flat_blocks_and_prices_them_at_their_midpoint() {
+        // A constant field on a disk holding the polygon: one block, no
+        // evaluation, the exact integral.
+        let poly = square(1.0, 1.0, 3.0, 2.0);
+        let flat = Ramp { disk: Circle::new(Point::new(2.0, 1.5), 5.0), slope: 0.0 };
+        let p0 = integration_probes();
+        let v = field_in_polygon(&flat, &poly, GridResolution::DEFAULT, 0.0);
+        assert_eq!((v, integration_probes() - p0), (0.0, 0));
+        // A linear field: every block's bound midpoint is its mean, so any
+        // tolerance gives ∫ x = 2 · 2 over the polygon, up to rounding.
+        let ramp = Ramp { slope: 1.0, ..flat };
+        for tol in [0.0, 0.1, 10.0] {
+            let v = field_in_polygon(&ramp, &poly, GridResolution::COARSE, tol);
+            assert!((v - 4.0).abs() < 1e-9, "tol {tol}: {v}");
+        }
+        // A huge tolerance settles the top block with no evaluation.
+        let p0 = integration_probes();
+        field_in_polygon(&ramp, &poly, GridResolution::COARSE, 10.0);
+        assert_eq!(integration_probes() - p0, 0);
+    }
+
+    #[test]
+    fn field_on_a_disk_edge_matches_the_exact_area() {
+        // A unit field on a disk straddling the polygon: the cells on the
+        // disk's edge take their centre values, and the total is the
+        // disk–polygon area within the grid's error.
+        let poly = square(0.0, 0.0, 3.0, 3.0);
+        let disk = Circle::new(Point::new(0.7, 1.1), 1.3);
+        struct Unit(Circle);
+        impl Field for Unit {
+            fn value(&self, p: Point) -> f64 {
+                f64::from(u8::from(self.0.contains(p)))
+            }
+            fn bounds(&self, b: &Mbr) -> FieldBounds {
+                FieldBounds { support: Region::classify(&self.0, b), lo: 1.0, hi: 1.0 }
+            }
+            fn mbr(&self) -> Mbr {
+                self.0.mbr()
+            }
+        }
+        let exact = circle_polygon_area(&disk, &poly);
+        let v = field_in_polygon(&Unit(disk), &poly, GridResolution::DEFAULT, 0.0);
+        assert!((v - exact).abs() / exact < 5e-3, "{v} vs {exact}");
+        let empty = Unit(Circle::new(Point::new(10.0, 10.0), 1.0));
+        assert_eq!(field_in_polygon(&empty, &poly, GridResolution::DEFAULT, 0.0), 0.0);
     }
 }

@@ -15,7 +15,9 @@
 //!   rectangles ([`Region::classify`]), together with a deterministic
 //!   adaptive-grid integrator ([`area_in_polygon`]) that measures
 //!   `area(region ∩ polygon)` — the quantity at the heart of the paper's
-//!   *object presence* definition (Definition 1);
+//!   *object presence* definition (Definition 1), and its twin for bounded
+//!   scalar fields ([`field_in_polygon`]), which integrates an object's
+//!   time-in-region over a POI for long-visit dwell;
 //! * exact circle–polygon intersection area ([`circle_polygon_area`]), the
 //!   analytic ground truth the grid integrator is validated against.
 //!
@@ -32,7 +34,8 @@ pub mod ring;
 pub mod segment;
 
 pub use area::{
-    area_in_polygon, area_in_window, area_of_region, integration_probes, GridResolution,
+    area_in_polygon, area_in_window, area_of_region, field_in_polygon, integration_probes, Field,
+    FieldBounds, GridResolution,
 };
 pub use circle::{circle_circle_intersection_area, circle_polygon_area, Circle};
 pub use ellipse::ExtendedEllipse;

@@ -15,9 +15,10 @@
 pub enum Counter {
     /// Objects whose tracking records overlap the query time(s).
     ObjectsConsidered,
-    /// Uncertainty regions actually derived.
+    /// Uncertainty regions actually derived (long-visit: record pieces).
     UrsBuilt,
-    /// Exact presence integrations performed (the dominant cost).
+    /// Exact presence integrations performed (the dominant cost;
+    /// long-visit: (piece, POI) dwell field integrations).
     PresenceEvaluations,
     /// Object–POI pairings rejected by the cheap MBR intersection test
     /// before any integration.
@@ -37,7 +38,8 @@ pub enum Counter {
     /// termination (join only).
     PoisPruned,
     /// Membership probes issued by the adaptive grid integrator
-    /// (`inflow_geometry::area`) — grid cells × samples.
+    /// (`inflow_geometry::area`) — grid cells × samples — plus the
+    /// field evaluations of long-visit dwell integrations.
     GridProbes,
     /// Objects considered whose snapshot/interval uncertainty region came
     /// out empty (degraded data: the object contributes no flow).
@@ -344,9 +346,11 @@ impl CounterSet {
 /// slot in the recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Timer {
-    /// One `UrEngine::presence` integration.
+    /// One `UrEngine::presence` integration, or one long-visit
+    /// `UrEngine::dwell` field integration.
     Presence,
-    /// One snapshot/interval uncertainty-region derivation.
+    /// One snapshot/interval uncertainty-region derivation, or one
+    /// long-visit dwell piece.
     UrDerive,
     /// One per-object incremental recompute in the flow-monitoring
     /// engine (delta applied → subscription contributions refreshed).

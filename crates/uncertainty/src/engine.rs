@@ -1,14 +1,22 @@
 //! The uncertainty-region engine: snapshot and interval derivation.
 
 use crate::context::IndoorContext;
+use crate::piece::DwellPiece;
 use crate::regions::{ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor};
 use inflow_geometry::{
-    all_of, any_of, area_in_polygon, Circle, ExtendedEllipse, GridResolution, Mbr, Point, Region,
-    Ring,
+    all_of, any_of, area_in_polygon, field_in_polygon, Circle, ExtendedEllipse, GridResolution,
+    Mbr, Point, Region, Ring,
 };
 use inflow_indoor::{DeviceId, FloorPlan, Poi};
 use inflow_tracking::{ObjectId, ObjectState, ObjectTrackingTable, Timestamp};
 use std::sync::Arc;
+
+/// How far apart, relative to the piece length, the bounds of the time
+/// field may be on a grid block that [`UrEngine::dwell`] prices at their
+/// midpoint instead of refining: such a block is off by at most
+/// `DWELL_EPSILON / 2 · (b − a)` per unit area. A fixed property of the
+/// quadrature, like the grid itself, not a query parameter.
+pub const DWELL_EPSILON: f64 = 0.05;
 
 /// Configuration of uncertainty-region derivation and presence
 /// integration.
@@ -299,6 +307,43 @@ impl UrEngine {
         UncertaintyRegion::from_segments(vec![Segment { mbr, pieces }])
     }
 
+    /// The uncertainty of a resolved object state over the piece `[a, b]`
+    /// it holds throughout (no record boundary strictly inside): the field
+    /// of time spent in `UR(o, t)`, `t ∈ [a, b]`, with the same cases as
+    /// [`UrEngine::snapshot_ur`] — an active record's disk, cut by the
+    /// predecessor's ring unless the object re-entered the same device,
+    /// and an inactive gap's two rings.
+    pub fn dwell_piece(
+        &self,
+        ott: &ObjectTrackingTable,
+        state: ObjectState,
+        a: Timestamp,
+        b: Timestamp,
+    ) -> DwellPiece {
+        let (ctx, topology, vmax) = (&self.ctx, self.cfg.topology_check, self.cfg.vmax);
+        match state {
+            ObjectState::Active { cov, pre } => {
+                let cov = ott.record(cov).device;
+                let pre = pre
+                    .map(|p| ott.record(p))
+                    .filter(|p| p.device != cov)
+                    .map(|p| (p.device, p.te));
+                DwellPiece::active(ctx, topology, vmax, (a, b), cov, pre)
+            }
+            ObjectState::Inactive { pre, suc } => {
+                let (pre, suc) = (ott.record(pre), ott.record(suc));
+                DwellPiece::inactive(
+                    ctx,
+                    topology,
+                    vmax,
+                    (a, b),
+                    (pre.device, pre.te),
+                    (suc.device, suc.ts),
+                )
+            }
+        }
+    }
+
     /// The coarse snapshot MBR of Algorithm 2 (lines 5–10), computed
     /// without building the region: the detection-range MBR when active,
     /// the merge of the two speed-extended device MBRs when inactive.
@@ -471,6 +516,21 @@ impl UrEngine {
         }
         let inter = area_in_polygon(&view, poi.extent(), self.cfg.resolution);
         (inter / total).clamp(0.0, 1.0)
+    }
+
+    /// The expected time the object spends in `poi` over the piece,
+    /// `∫ presence dt = (1/|p|) ∫_p T(q) dq`, clamped to `[0, b − a]`: one
+    /// [`field_in_polygon`] integration at the configured resolution and
+    /// tolerance [`DWELL_EPSILON`]` · (b − a)`.
+    pub fn dwell(&self, piece: &DwellPiece, poi: &Poi) -> f64 {
+        if piece.is_empty() || !piece.mbr().intersects(&poi.mbr()) {
+            return 0.0;
+        }
+        let (a, b) = piece.span();
+        let field = piece.field(HostCell::of_poi(self.ctx.plan(), poi));
+        let inter =
+            field_in_polygon(&field, poi.extent(), self.cfg.resolution, DWELL_EPSILON * (b - a));
+        (inter / poi.area()).clamp(0.0, b - a)
     }
 
     /// The object presence `φ(o) = area(UR ∩ p) / area(p)` (Definition 1),

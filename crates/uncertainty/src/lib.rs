@@ -14,7 +14,11 @@
 //! * the **indoor topology check** of §3.3: membership additionally
 //!   requires the *indoor walking distance* from the anchoring devices to
 //!   stay within the maximum-speed budget, excluding parts of space that
-//!   are Euclidean-near but unreachable through doors (Figure 8).
+//!   are Euclidean-near but unreachable through doors (Figure 8);
+//! * **dwell pieces** ([`DwellPiece`]): between two record boundaries, the
+//!   time each point spends in `UR(o, t)` as a bounded field, which
+//!   long-visit queries integrate once per piece instead of sampling
+//!   snapshot regions.
 //!
 //! The central entry point is [`UrEngine`]; the result type is
 //! [`UncertaintyRegion`], a composable [`inflow_geometry::Region`] carrying
@@ -35,8 +39,12 @@
 
 pub mod context;
 pub mod engine;
+pub mod piece;
 pub mod regions;
 
 pub use context::IndoorContext;
-pub use engine::{IntervalChain, RestrictedUr, UncertaintyRegion, UrConfig, UrEngine};
+pub use engine::{
+    IntervalChain, RestrictedUr, UncertaintyRegion, UrConfig, UrEngine, DWELL_EPSILON,
+};
+pub use piece::DwellPiece;
 pub use regions::{ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor};

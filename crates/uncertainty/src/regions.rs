@@ -204,6 +204,32 @@ impl IndoorAnchor {
         Some((lo, (hi - r).max(0.0)))
     }
 
+    /// Indoor distance from the device centre to points of `host`, as the
+    /// minimum over the returned `(at, via)` of `via + |at − q|`: the
+    /// device itself when it lies in the host (or outside every cell, with
+    /// no topology constraint), else the host's doors with their walking
+    /// distances. No source means the host is unreachable.
+    ///
+    /// This is [`IndoorAnchor::boundary_indoor_distance`] (before the
+    /// radius is taken off) everywhere in the host except within
+    /// [`WALL_TOL`] of its walls, where that takes the minimum over the
+    /// adjoining cells as well.
+    pub(crate) fn sources_in(&self, host: &HostCell) -> Vec<(Point, f64)> {
+        match &self.cell {
+            Some((anchor_cell, door_dists)) if *anchor_cell != host.id => {
+                let positions = self.ctx.oracle().door_positions();
+                self.ctx
+                    .plan()
+                    .doors_of_cell(host.id)
+                    .iter()
+                    .map(|door| (positions[door.index()], door_dists[door.index()]))
+                    .filter(|(_, via)| via.is_finite())
+                    .collect()
+            }
+            _ => vec![(self.circle.center, 0.0)],
+        }
+    }
+
     /// Indoor distance from the anchor to `q` assuming `q` is entered
     /// through cell `c`.
     fn via_cell(&self, q: Point, c: CellId, anchor_cell: CellId, door_dists: &[f64]) -> f64 {

@@ -32,8 +32,18 @@ cargo build --release --workspace --offline
 echo "== cargo build --all-targets (benches + tests compile)"
 cargo build --workspace --all-targets --offline
 
-echo "== cargo test"
-cargo test -q --workspace --offline
+echo "== cargo test (every test target without a stage of its own below)"
+# The root test targets that later stages name run there, once: running
+# them here as well repeated ~48 s of debug-build test time.
+STAGED=" chaos robustness presence_kernel crash store_format segments wire_format replay "
+ROOT_TESTS=()
+for f in tests/*.rs; do
+    t=$(basename "$f" .rs)
+    [[ "$STAGED" == *" $t "* ]] || ROOT_TESTS+=(--test "$t")
+done
+cargo test -q --workspace --exclude inflow --offline
+cargo test -q -p inflow --lib --bins "${ROOT_TESTS[@]}" --offline
+cargo test -q -p inflow --doc --offline
 
 echo "== chaos suite (seeded corruption grid × all four algorithms)"
 cargo test -q --test chaos --test robustness --offline

@@ -265,8 +265,9 @@ fn usage() -> String {
      the hot WAL tail, and quarantined rows show up in the answer's\n\
      quality line instead of failing the query.\n\
      \n\
-     snapshot, interval and timeline accept --profile (per-phase span tree\n\
-     plus counters) or --profile-json (same data as a JSON document), and\n\
+     snapshot, interval, timeline and query longvisit accept --profile\n\
+     (per-phase span tree plus counters) or --profile-json (same data as a\n\
+     JSON document); snapshot, interval and timeline also accept\n\
      --sanitize to route the OTT through the anomaly gate (repair policies)\n\
      instead of rejecting inconsistent input outright.\n"
         .to_string()
@@ -625,14 +626,15 @@ fn cmd_query(args: &Args) -> Result<String, CliError> {
             }
             let q = LongVisitQuery::new(ts, te, d, pois, k);
             let result = fa.longvisit_topk(&q);
-            Ok(format_result_as(
+            let out = format_result_as(
                 &fa,
                 &result.ranked,
                 &format!("top-{} POIs by objects dwelling >= {d} over [{ts}, {te}]", q.k),
                 "objects",
                 &result.stats,
                 &result.quality,
-            ))
+            );
+            Ok(append_profile(out, result.profile.as_deref(), args))
         }
         other => err(format!("unknown query family '{other}' (use distrib|longvisit)")),
     }

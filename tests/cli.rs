@@ -461,6 +461,29 @@ fn query_distrib_and_longvisit_verbs() {
         let value: f64 = line.split_whitespace().last().unwrap().parse().unwrap();
         assert_eq!(value.fract(), 0.0, "non-integral head count in {line}");
     }
+    // --profile appends the long-visit span tree and its work counters.
+    let profiled = run_str(&[
+        "query",
+        "longvisit",
+        "--plan",
+        &plan,
+        "--ott",
+        &ott,
+        "--ts",
+        "50",
+        "--te",
+        "250",
+        "--min-dwell",
+        "10",
+        "--k",
+        "3",
+        "--profile",
+    ])
+    .expect("profiled longvisit succeeds");
+    assert!(profiled.starts_with(&lv), "profile must only append:\n{profiled}");
+    for needle in ["integrate_dwell", "urs_built", "presence_evaluations", "grid_probes"] {
+        assert!(profiled.contains(needle), "missing {needle}:\n{profiled}");
+    }
 
     let e =
         run_str(&["query", "distrib", "--plan", &plan, "--ott", &ott, "--t", "150", "--kq", "0"])
