@@ -43,7 +43,7 @@ pub fn snapshot(fa: &FlowAnalytics, q: &SnapshotQuery) -> QueryResult {
 /// (`<= 1` runs inline). Bitwise-identical results to [`snapshot`].
 pub fn snapshot_threads(fa: &FlowAnalytics, q: &SnapshotQuery, threads: usize) -> QueryResult {
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     let root = rec.enter("snapshot_iterative");
     let (flows, stats) = snapshot_flows_threads(fa, q, &mut rec, threads);
     let span = rec.enter("rank");
@@ -51,7 +51,7 @@ pub fn snapshot_threads(fa: &FlowAnalytics, q: &SnapshotQuery, threads: usize) -
     rec.exit(span);
     rec.exit(root);
     let quality = fa.quality(&stats);
-    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, probes0), quality }
+    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, grid0), quality }
 }
 
 /// Algorithm 4: iterative interval top-k.
@@ -63,7 +63,7 @@ pub fn interval(fa: &FlowAnalytics, q: &IntervalQuery) -> QueryResult {
 /// (`<= 1` runs inline). Bitwise-identical results to [`interval`].
 pub fn interval_threads(fa: &FlowAnalytics, q: &IntervalQuery, threads: usize) -> QueryResult {
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     let root = rec.enter("interval_iterative");
     let (flows, stats) = interval_flows_threads(fa, q, &mut rec, threads);
     let span = rec.enter("rank");
@@ -71,7 +71,7 @@ pub fn interval_threads(fa: &FlowAnalytics, q: &IntervalQuery, threads: usize) -
     rec.exit(span);
     rec.exit(root);
     let quality = fa.quality(&stats);
-    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, probes0), quality }
+    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, grid0), quality }
 }
 
 /// All snapshot flows, unranked.

@@ -92,7 +92,7 @@ impl PartialOrd for Item {
 /// Algorithm 2 (+ 3): join-based snapshot top-k.
 pub fn snapshot(fa: &FlowAnalytics, q: &SnapshotQuery, cfg: &JoinConfig) -> QueryResult {
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     let root = rec.enter("snapshot_join");
     let mut stats = QueryStats::default();
 
@@ -218,13 +218,13 @@ pub fn snapshot(fa: &FlowAnalytics, q: &SnapshotQuery, cfg: &JoinConfig) -> Quer
     rec.merge_timer(Timer::Presence, &presence_hist);
     counters.record_queue_traffic(&mut rec);
     let quality = fa.quality(&stats);
-    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, probes0), quality }
+    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, grid0), quality }
 }
 
 /// Algorithm 5 (improved): join-based interval top-k.
 pub fn interval(fa: &FlowAnalytics, q: &IntervalQuery, cfg: &JoinConfig) -> QueryResult {
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     let root = rec.enter("interval_join");
     let mut stats = QueryStats::default();
 
@@ -331,7 +331,7 @@ pub fn interval(fa: &FlowAnalytics, q: &IntervalQuery, cfg: &JoinConfig) -> Quer
     rec.merge_timer(Timer::Presence, &presence_hist);
     counters.record_queue_traffic(&mut rec);
     let quality = fa.quality(&stats);
-    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, probes0), quality }
+    QueryResult { ranked, stats, profile: profiling::finish_profile(rec, &stats, grid0), quality }
 }
 
 /// Counters local to one [`run_join`] drive: plain integers so the

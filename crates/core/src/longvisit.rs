@@ -298,7 +298,7 @@ pub struct LongVisitResult {
 /// ascending object-id order (the serving engine's order).
 pub fn longvisit_counts(fa: &FlowAnalytics, q: &LongVisitQuery) -> LongVisitResult {
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     rec.add(Counter::LongVisitQueries, 1);
     let root = rec.enter("longvisit");
     let span = rec.enter("build_poi_rtree");
@@ -345,6 +345,6 @@ pub fn longvisit_counts(fa: &FlowAnalytics, q: &LongVisitQuery) -> LongVisitResu
     rec.exit(span);
     rec.exit(root);
     let quality = fa.quality(&stats);
-    let profile = profiling::finish_profile(rec, &stats, probes0);
+    let profile = profiling::finish_profile(rec, &stats, grid0);
     LongVisitResult { ranked, counts: scores, stats, profile, quality }
 }

@@ -90,7 +90,7 @@ pub fn flow_timeline(
     assert!(bucket_len > 0.0, "bucket length must be positive");
     assert!(end >= start, "time range must be ordered");
     let mut rec = fa.recorder();
-    let probes0 = profiling::probes_start(&rec);
+    let grid0 = profiling::grid_start(&rec);
     let root = rec.enter("timeline");
     let mut buckets = Vec::new();
     let mut total = QueryStats::default();
@@ -110,7 +110,7 @@ pub fn flow_timeline(
     FlowTimeline {
         buckets,
         stats: total,
-        profile: profiling::finish_profile(rec, &total, probes0),
+        profile: profiling::finish_profile(rec, &total, grid0),
         quality,
     }
 }

@@ -11,14 +11,20 @@
 //!
 //! The grid is walked as a quadtree over cell-index blocks. The integrand
 //! has two factors, the polygon and the region, and each classifies
-//! blocks on its own ([`Region::classify`]). A factor proven in for a
-//! block stays proven below it: it is neither classified nor tested
-//! again there. A block both factors prove in, or either proves out, gets
-//! each cell's full or zero value without a single probe; only the cells
-//! no bound settles are probed, at exactly the points a plain per-cell
-//! pass would probe, testing only the factors not yet proven. Per-cell
-//! values are summed in row-major order, so the result is the same
-//! `f64`, bit for bit, as probing every cell.
+//! blocks on its own ([`Region::classify`]). What a verdict proves stays
+//! proven below the block: a factor proven in is neither classified nor
+//! tested again there, and a region made of parts hands down the parts
+//! still open ([`Region::classify_live`]), so that sub-blocks classify
+//! and probes test only those. A block both factors prove in, or either
+//! proves out, gets each cell's full or zero value without a single
+//! probe. Once the region is proven over a block, an axis-rectangle
+//! polygon judges the block inset by its padding, so blocks along the
+//! POI's own edges settle too, each cell taking the value the per-cell
+//! rule gives it there ([`Polygon::contains_fast`] is half-open). Only the
+//! cells no bound settles are probed, at exactly the points a plain
+//! per-cell pass would probe. Per-cell values are summed in row-major
+//! order, so the result is the same `f64`, bit for bit, as probing every
+//! cell.
 //!
 //! [`field_in_polygon`] walks the same quadtree for a bounded scalar
 //! [`Field`] instead of an indicator: a block whose bounds are close
@@ -28,22 +34,24 @@
 use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::Polygon;
-use crate::region::Region;
+use crate::region::{Live, Region, Verdict};
 use std::cell::Cell;
 
 thread_local! {
     static PROBES: Cell<u64> = const { Cell::new(0) };
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Monotonic per-thread count of region probes the grid integrator
 /// actually issued: corner lattice points, cell centres and
 /// super-samples at which the region's membership test ran. Blocks
 /// settled by [`Region::classify`] cost no probes, and neither do
-/// polygon-only tests below a block where the region is already proven,
-/// so the count falls as classification settles more of the grid; the
-/// classification calls themselves are not counted. Each field value
-/// [`field_in_polygon`] takes at an unsettled cell's centre counts as one
-/// probe too.
+/// polygon-only tests below a block where the region is already proven;
+/// the classification calls themselves are not counted. The count does
+/// not only fall as classification settles more of the grid: a settled
+/// block memoises no lattice corners, so an open neighbour probes the
+/// corners they share itself. Each field value [`field_in_polygon`]
+/// takes at an unsettled cell's centre counts as one probe too.
 ///
 /// Observability hook: profilers snapshot it before and after a query
 /// and report the delta as "grid probes" — the number of point-in-region
@@ -51,6 +59,23 @@ thread_local! {
 /// (never in practice).
 pub fn integration_probes() -> u64 {
     PROBES.with(|c| c.get())
+}
+
+/// Monotonic per-thread count of quadtree blocks both grid integrators
+/// classified, the whole grid of each integration included: the work
+/// of settling the grid, where [`integration_probes`] counts the work
+/// below it. A POI a proven region holds whole costs one block.
+///
+/// Profilers report its delta as "grid blocks", beside "grid probes".
+/// Wraps on overflow (never in practice).
+pub fn integration_blocks() -> u64 {
+    BLOCKS.with(|c| c.get())
+}
+
+/// Adds one integration's work to the per-thread counters.
+fn count(probes: u64, blocks: u64) {
+    PROBES.with(|c| c.set(c.get().wrapping_add(probes)));
+    BLOCKS.with(|c| c.set(c.get().wrapping_add(blocks)));
 }
 
 /// Grid resolution parameters for the integrator.
@@ -84,16 +109,6 @@ impl Default for GridResolution {
     }
 }
 
-/// One factor of the integrand: a membership test and its block verdict.
-struct Factor<'a> {
-    contains: &'a dyn Fn(Point) -> bool,
-    classify: &'a dyn Fn(&Mbr) -> Option<bool>,
-}
-
-/// The factor that holds everywhere: the polygon of an integration over
-/// the region alone.
-const ANYWHERE: Factor<'static> = Factor { contains: &|_| true, classify: &|_| Some(true) };
-
 /// Area of `region ∩ polygon`.
 ///
 /// Integrates over `region.mbr() ∩ polygon.mbr()`. Cells whose four corners
@@ -105,15 +120,7 @@ pub fn area_in_polygon(
     res: GridResolution,
 ) -> f64 {
     let window = region.mbr().intersection(&polygon.mbr());
-    // The polygon test is far cheaper than a composite (possibly
-    // topology-constrained) region test, so it goes first. Its verdicts
-    // hold for `contains_fast` too (see `Polygon`'s `classify`).
-    integrate(
-        Factor { contains: &|p| polygon.contains_fast(p), classify: &|b| polygon.classify(b) },
-        Factor { contains: &|p| region.contains(p), classify: &|b| region.classify(b) },
-        window,
-        res,
-    )
+    integrate(Some(polygon), region, window, res)
 }
 
 /// Area of the region itself, integrated over its own MBR.
@@ -124,12 +131,7 @@ pub fn area_of_region(region: &(impl Region + ?Sized), res: GridResolution) -> f
 /// Area of `region` restricted to an explicit window rectangle.
 pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridResolution) -> f64 {
     let window = region.mbr().intersection(&window);
-    integrate(
-        ANYWHERE,
-        Factor { contains: &|p| region.contains(p), classify: &|b| region.classify(b) },
-        window,
-        res,
-    )
+    integrate(None, region, window, res)
 }
 
 /// What a [`Field`] proves over a block.
@@ -168,8 +170,9 @@ pub trait Field {
 /// bounds are `tol` apart or closer: it is then priced at the midpoint of
 /// its bounds, within `tol / 2` per unit area of the exact integral. A
 /// cell no bound settles takes its centre value (one field evaluation,
-/// counted in [`integration_probes`]). Deterministic: the same inputs give
-/// the same `f64`.
+/// counted in [`integration_probes`]; each block bounded counts in
+/// [`integration_blocks`]). Deterministic: the same inputs give the same
+/// `f64`.
 pub fn field_in_polygon(
     field: &(impl Field + ?Sized),
     polygon: &Polygon,
@@ -194,13 +197,14 @@ pub fn field_in_polygon(
         cell_area: dx * dy,
         tol,
         probes: 0,
+        blocks: 0,
     };
     let total = grid.block(0, n, 0, n, false);
-    PROBES.with(|c| c.set(c.get().wrapping_add(grid.probes)));
+    count(grid.probes, grid.blocks);
     total
 }
 
-/// One field integration: the grid geometry and the evaluations spent.
+/// One field integration: the grid geometry and the work spent.
 struct FieldGrid<'a, F: ?Sized> {
     field: &'a F,
     polygon: &'a Polygon,
@@ -212,6 +216,7 @@ struct FieldGrid<'a, F: ?Sized> {
     cell_area: f64,
     tol: f64,
     probes: u64,
+    blocks: u64,
 }
 
 impl<F: Field + ?Sized> FieldGrid<'_, F> {
@@ -226,6 +231,7 @@ impl<F: Field + ?Sized> FieldGrid<'_, F> {
     /// The integral over the cells `[i0, i1) × [j0, j1)`; `in_polygon`
     /// when a block above proved the polygon in.
     fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, in_polygon: bool) -> f64 {
+        self.blocks += 1;
         let b = Mbr::from_bounds(
             Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
             Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
@@ -279,21 +285,27 @@ impl<F: Field + ?Sized> FieldGrid<'_, F> {
 #[derive(Debug, Clone, Copy)]
 struct Proven {
     polygon: bool,
-    region: bool,
+    /// The region's parts still unproven; `None` once the whole region
+    /// is proven in.
+    region: Option<Live>,
 }
 
 /// What the verdicts settle for one block.
 enum Block {
     Out,
     In,
+    /// In up to the window's top and right lattice lines, which the
+    /// polygon test may reject ([`Grid::settles_to_edge`]).
+    InToEdge,
     Open(Proven),
 }
 
 /// One integration: the grid geometry, the memoised corner lattice and
 /// the per-cell values, filled block by block.
-struct Grid<'a> {
-    polygon: Factor<'a>,
-    region: Factor<'a>,
+struct Grid<'a, R: ?Sized> {
+    /// The POI polygon; `None` integrates the region alone.
+    polygon: Option<&'a Polygon>,
+    region: &'a R,
     origin: Point,
     n: usize,
     dx: f64,
@@ -303,14 +315,23 @@ struct Grid<'a> {
     pad: f64,
     supersample: usize,
     cell_area: f64,
+    /// Whether cells are wide enough, against the padding, for an
+    /// axis-rectangle polygon to settle blocks along its edges.
+    inset: bool,
     /// Memoised corner-lattice memberships of the whole integrand, `None`
     /// until probed.
     corners: Vec<Option<bool>>,
     cells: Vec<f64>,
     probes: u64,
+    blocks: u64,
 }
 
-fn integrate(polygon: Factor, region: Factor, window: Mbr, res: GridResolution) -> f64 {
+fn integrate<R: Region + ?Sized>(
+    polygon: Option<&Polygon>,
+    region: &R,
+    window: Mbr,
+    res: GridResolution,
+) -> f64 {
     if window.is_empty() {
         return 0.0;
     }
@@ -324,6 +345,8 @@ fn integrate(polygon: Factor, region: Factor, window: Mbr, res: GridResolution) 
     let dy = h / n as f64;
     let scale = 1.0
         + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
+    let pad = 1e-9 * scale;
+    let s = res.supersample;
     let mut grid = Grid {
         polygon,
         region,
@@ -331,31 +354,21 @@ fn integrate(polygon: Factor, region: Factor, window: Mbr, res: GridResolution) 
         n,
         dx,
         dy,
-        pad: 1e-9 * scale,
-        supersample: res.supersample,
+        pad,
+        supersample: s,
         cell_area: dx * dy,
+        inset: dx > 4.0 * s as f64 * pad && dy > 4.0 * s as f64 * pad,
         corners: Vec::new(),
         cells: Vec::new(),
         probes: 0,
+        blocks: 0,
     };
-    // The top block is settled before anything is allocated. A whole
-    // grid is the row-major sum of n² full cells, the same additions the
-    // cell vector would take.
-    let proven = match grid.classify(0, n, 0, n, Proven { polygon: false, region: false }) {
-        Block::Out => return 0.0,
-        Block::In => return (0..n * n).fold(0.0, |total, _| total + grid.cell_area),
-        Block::Open(proven) => proven,
-    };
-    grid.corners = vec![None; (n + 1) * (n + 1)];
-    grid.cells = vec![0.0; n * n];
-    grid.descend(0, n, 0, n, proven);
-    PROBES.with(|c| c.set(c.get().wrapping_add(grid.probes)));
-    // Row-major, the order of a plain per-cell pass. Every value is +0.0
-    // or positive, so skipping the zero cells leaves the sum unchanged.
-    grid.cells.iter().filter(|&&v| v != 0.0).fold(0.0, |total, &v| total + v)
+    let area = grid.area();
+    count(grid.probes, grid.blocks);
+    area
 }
 
-impl Grid<'_> {
+impl<R: Region + ?Sized> Grid<'_, R> {
     fn x(&self, i: usize) -> f64 {
         self.origin.x + self.dx * i as f64
     }
@@ -364,39 +377,139 @@ impl Grid<'_> {
         self.origin.y + self.dy * j as f64
     }
 
+    /// The whole integral. The top block is settled before anything is
+    /// allocated: a settled grid is the row-major sum of its n² cell
+    /// values, the same additions the cell vector would take.
+    fn area(&mut self) -> f64 {
+        let n = self.n;
+        let all = Proven { polygon: self.polygon.is_none(), region: Some(Live::ALL) };
+        let proven = match self.classify(0, n, 0, n, all) {
+            Block::Out => return 0.0,
+            Block::In => return (0..n * n).fold(0.0, |total, _| total + self.cell_area),
+            Block::InToEdge => {
+                let rim = self.rim(0, n, 0, n);
+                return (0..n * n).fold(0.0, |total, k| total + self.edge_cell(k % n, k / n, rim));
+            }
+            Block::Open(proven) => proven,
+        };
+        self.corners = vec![None; (n + 1) * (n + 1)];
+        self.cells = vec![0.0; n * n];
+        self.descend(0, n, 0, n, proven);
+        // Row-major, the order of a plain per-cell pass. Every value is
+        // +0.0 or positive, so skipping the zero cells leaves the sum
+        // unchanged.
+        self.cells.iter().filter(|&&v| v != 0.0).fold(0.0, |total, &v| total + v)
+    }
+
+    /// The block `[i0, i1) × [j0, j1)` grown by `by` on every side
+    /// (shrunk for negative `by`).
+    fn bounds(&self, i0: usize, i1: usize, j0: usize, j1: usize, by: f64) -> Mbr {
+        Mbr::from_bounds(
+            Point::new(self.x(i0) - by, self.y(j0) - by),
+            Point::new(self.x(i1) + by, self.y(j1) + by),
+        )
+    }
+
     /// Classifies the padded block `[i0, i1) × [j0, j1)` by each factor
     /// not already proven: out as soon as one factor is, in once both are.
-    fn classify(&self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) -> Block {
-        let b = Mbr::from_bounds(
-            Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
-            Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
-        );
-        let mut proven = above;
-        for (done, factor) in
-            [(&mut proven.polygon, &self.polygon), (&mut proven.region, &self.region)]
-        {
-            if !*done {
-                match (factor.classify)(&b) {
-                    Some(false) => return Block::Out,
-                    Some(true) => *done = true,
-                    None => {}
-                }
+    fn classify(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) -> Block {
+        self.blocks += 1;
+        let b = self.bounds(i0, i1, j0, j1, self.pad);
+        // The polygon goes first: its test is far cheaper than a composite
+        // (possibly topology-constrained) region's. Its verdicts hold for
+        // `contains_fast` too (see `Polygon`'s `classify`).
+        let mut polygon = above.polygon;
+        if let (false, Some(poly)) = (polygon, self.polygon) {
+            match poly.classify(&b) {
+                Some(false) => return Block::Out,
+                Some(true) => polygon = true,
+                None => {}
             }
         }
-        if proven.polygon && proven.region {
-            Block::In
+        let region = match above.region {
+            None => None,
+            Some(live) => match self.region.classify_live(&b, live) {
+                Verdict::Out => return Block::Out,
+                Verdict::In => None,
+                Verdict::Open(live) => Some(live),
+            },
+        };
+        match (polygon, region) {
+            (true, None) => Block::In,
+            (false, None) if self.settles_to_edge(i0, i1, j0, j1) => Block::InToEdge,
+            _ => Block::Open(Proven { polygon, region }),
+        }
+    }
+
+    /// Whether an axis-rectangle polygon holds the block inset by the
+    /// padding, for a block the region is proven over. Such a block is
+    /// settled with [`Grid::edge_cell`]'s values, which are the per-cell
+    /// rule's, because `contains_fast` on an axis rectangle `[L, H]` is
+    /// exactly `L ≤ q < H` on both axes (the ray cast counts a vertical
+    /// edge at `x` only for `q.x < x`, and only for `L.y ≤ q.y < H.y`):
+    ///
+    /// * every sample lies at or above the window's low corner, and the
+    ///   window lies in the polygon's MBR, so no sample fails `L ≤ q`;
+    /// * `inset` makes cells more than `4·s` paddings wide, while
+    ///   rounding moves samples by far less than a padding. Every centre
+    ///   and super-sample of the block then lies more than a padding
+    ///   below its top and right sides, which the inset verdict puts
+    ///   below `H`; and every lattice line below the window's last is a
+    ///   whole cell below that last line, which lies within rounding of
+    ///   `H`. So only a corner on the window's top or right lattice line
+    ///   can fail `q < H`.
+    fn settles_to_edge(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> bool {
+        match self.polygon {
+            Some(poly) if self.inset && poly.is_axis_rectangle() => {
+                poly.classify(&self.bounds(i0, i1, j0, j1, -self.pad)) == Some(true)
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether the window's right and top lattice lines fail the polygon
+    /// test where the block `[i0, i1) × [j0, j1)` reaches them. A corner
+    /// there fails on its own axis alone (see [`Grid::settles_to_edge`]),
+    /// so one corner speaks for the whole line.
+    fn rim(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> (bool, bool) {
+        let Some(poly) = self.polygon else { return (false, false) };
+        let n = self.n;
+        let right = i1 == n && !poly.contains_fast(Point::new(self.x(n), self.y(j0)));
+        let top = j1 == n && !poly.contains_fast(Point::new(self.x(i0), self.y(n)));
+        (right, top)
+    }
+
+    /// The per-cell rule's value of cell `(i, j)` of a block settled to
+    /// the edge, with `rim` from [`Grid::rim`]. A cell whose four corners
+    /// pass is whole: `cell_area`. A cell with a corner on a failing rim
+    /// line is a boundary cell whose `s²` super-samples all pass:
+    /// `s² · (cell_area / s²)`. The two are equal for `s` = 2 and 4, but
+    /// for `s` = 6 differ by an ulp for some cell areas.
+    fn edge_cell(&self, i: usize, j: usize, rim: (bool, bool)) -> f64 {
+        if (rim.0 && i + 1 == self.n) || (rim.1 && j + 1 == self.n) {
+            let s2 = self.supersample * self.supersample;
+            s2 as f64 * (self.cell_area / s2 as f64)
         } else {
-            Block::Open(proven)
+            self.cell_area
         }
     }
 
     /// Settles the cells `[i0, i1) × [j0, j1)`: whole when the block
     /// classifies, else as an open block.
     fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) {
+        let n = self.n;
         match self.classify(i0, i1, j0, j1, above) {
             Block::In => {
                 for j in j0..j1 {
-                    self.cells[j * self.n + i0..j * self.n + i1].fill(self.cell_area);
+                    self.cells[j * n + i0..j * n + i1].fill(self.cell_area);
+                }
+            }
+            Block::InToEdge => {
+                let rim = self.rim(i0, i1, j0, j1);
+                for j in j0..j1 {
+                    for i in i0..i1 {
+                        self.cells[j * n + i] = self.edge_cell(i, j, rim);
+                    }
                 }
             }
             Block::Out => {}
@@ -422,19 +535,19 @@ impl Grid<'_> {
     }
 
     /// The integrand at `p`, a point of a block where `proven` holds:
-    /// only the factors not yet proven are tested, the cheap polygon
-    /// first, and only region tests count as probes.
+    /// only the factors and region parts not yet proven are tested, the
+    /// cheap polygon first, and only region tests count as probes.
     fn inside(&mut self, p: Point, proven: Proven) -> bool {
-        (proven.polygon || (self.polygon.contains)(p))
-            && (proven.region || {
+        (proven.polygon || self.polygon.is_none_or(|poly| poly.contains_fast(p)))
+            && proven.region.is_none_or(|live| {
                 self.probes += 1;
-                (self.region.contains)(p)
+                self.region.contains_live(p, live)
             })
     }
 
     /// Membership of lattice corner `(i, j)`, probed at most once. A
-    /// proven factor holds at the corner, so the memoised value is the
-    /// whole integrand's whichever block probed it.
+    /// proven factor or region part holds at the corner, so the memoised
+    /// value is the whole integrand's whichever block probed it.
     fn corner(&mut self, i: usize, j: usize, proven: Proven) -> bool {
         let k = j * (self.n + 1) + i;
         if let Some(v) = self.corners[k] {

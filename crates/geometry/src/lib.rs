@@ -34,8 +34,8 @@ pub mod ring;
 pub mod segment;
 
 pub use area::{
-    area_in_polygon, area_in_window, area_of_region, field_in_polygon, integration_probes, Field,
-    FieldBounds, GridResolution,
+    area_in_polygon, area_in_window, area_of_region, field_in_polygon, integration_blocks,
+    integration_probes, Field, FieldBounds, GridResolution,
 };
 pub use circle::{circle_circle_intersection_area, circle_polygon_area, Circle};
 pub use ellipse::ExtendedEllipse;
@@ -43,8 +43,8 @@ pub use mbr::Mbr;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;
 pub use region::{
-    all_of, any_of, classify_at_most, BoxedRegion, EmptyRegion, HalfPlane, Region,
-    RegionDifference, RegionIntersection, RegionUnion,
+    all_of, any_of, classify_at_most, BoxedRegion, EmptyRegion, HalfPlane, Live, Region,
+    RegionDifference, RegionIntersection, RegionUnion, Verdict,
 };
 pub use ring::Ring;
 pub use segment::Segment;

@@ -15,6 +15,11 @@
 //! behind one carries a relative slack of `1e-10`
 //! ([`classify_at_most`]), so float rounding can only turn a verdict
 //! into `None`, never into a wrong answer.
+//!
+//! A region built from parts can also say which of them a block left
+//! open ([`Region::classify_live`]): the parts a verdict proved stay
+//! proven for every block and probe below it ([`Live`]), so those test
+//! only the rest ([`Region::contains_live`]).
 
 use crate::circle::Circle;
 use crate::ellipse::ExtendedEllipse;
@@ -48,6 +53,89 @@ pub trait Region {
     /// sound, and is the default.
     fn classify(&self, _b: &Mbr) -> Option<bool> {
         None
+    }
+
+    /// [`Region::classify`] of a block inside one whose verdict left
+    /// `live` open: only the live parts are classified, and
+    /// [`Verdict::Open`] carries the parts still live over `b`. Every
+    /// point of `b` then tests the same under [`Region::contains_live`]
+    /// with that set as under [`Region::contains`], and so does every
+    /// point of a block inside `b`, classified with it in turn. With
+    /// [`Live::ALL`] it is `classify`. A region without parts keeps the
+    /// default, which forwards to `classify`.
+    fn classify_live(&self, b: &Mbr, live: Live) -> Verdict {
+        Verdict::of(self.classify(b), live)
+    }
+
+    /// [`Region::contains`] at a point of a block whose verdict left
+    /// `live` open: only the live parts are tested. With [`Live::ALL`]
+    /// it is `contains`; the default forwards to it.
+    fn contains_live(&self, p: Point, _live: Live) -> bool {
+        self.contains(p)
+    }
+}
+
+/// The parts of a region a block verdict left unproven, one bit per
+/// part in an order the region defines. A clear bit marks a part proven
+/// over a block that holds everything below it: proven in, or proven out
+/// together with the group of parts it belongs to, which the region then
+/// reads as dead. Parts numbered [`Live::CAPACITY`] or higher have no
+/// bit and are always live, so they are classified and tested every
+/// time. A plain word, so carrying it down a quadtree allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Live(u64);
+
+impl Live {
+    /// Parts with a bit of their own.
+    pub const CAPACITY: usize = u64::BITS as usize;
+    /// Every part live: nothing proven yet.
+    pub const ALL: Live = Live(u64::MAX);
+
+    /// Whether `part` is still live; always so past the capacity.
+    pub fn has(self, part: usize) -> bool {
+        part >= Live::CAPACITY || self.0 >> part & 1 == 1
+    }
+
+    /// The set with `part` proven; unchanged past the capacity.
+    #[must_use]
+    pub fn without(self, part: usize) -> Live {
+        if part < Live::CAPACITY {
+            Live(self.0 & !(1 << part))
+        } else {
+            self
+        }
+    }
+}
+
+/// A block verdict that also says what it left open below the block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Every point of the block is in the region.
+    In,
+    /// No point of the block is.
+    Out,
+    /// The region cannot tell; the parts still live over the block.
+    Open(Live),
+}
+
+impl Verdict {
+    /// A three-valued verdict that proves no part: `None` leaves `live`
+    /// open.
+    pub fn of(verdict: Option<bool>, live: Live) -> Verdict {
+        match verdict {
+            Some(true) => Verdict::In,
+            Some(false) => Verdict::Out,
+            None => Verdict::Open(live),
+        }
+    }
+
+    /// The verdict as [`Region::classify`] gives it.
+    pub fn settled(self) -> Option<bool> {
+        match self {
+            Verdict::In => Some(true),
+            Verdict::Out => Some(false),
+            Verdict::Open(_) => None,
+        }
     }
 }
 
@@ -203,7 +291,11 @@ impl Region for Polygon {
     }
     /// Rectangles only. Blocks touching an edge stay `None`: the verdicts
     /// hold for [`Polygon::contains`] and [`Polygon::contains_fast`] alike,
-    /// and the two differ on the boundary.
+    /// and the two differ on the boundary. The grid integrator still
+    /// settles a block along an edge of an axis-rectangle POI: it judges
+    /// the block inset by its padding once the region is proven over it,
+    /// and gives the cells on the edge the values `contains_fast`'s
+    /// half-open rule implies (see [`crate::area`]).
     fn classify(&self, b: &Mbr) -> Option<bool> {
         if self.is_axis_rectangle() {
             rect_verdict(&Polygon::mbr(self), b, EPS)
@@ -238,6 +330,12 @@ impl<R: Region + ?Sized> Region for Box<R> {
     fn classify(&self, b: &Mbr) -> Option<bool> {
         (**self).classify(b)
     }
+    fn classify_live(&self, b: &Mbr, live: Live) -> Verdict {
+        (**self).classify_live(b, live)
+    }
+    fn contains_live(&self, p: Point, live: Live) -> bool {
+        (**self).contains_live(p, live)
+    }
 }
 
 impl<R: Region + ?Sized> Region for &R {
@@ -252,6 +350,12 @@ impl<R: Region + ?Sized> Region for &R {
     }
     fn classify(&self, b: &Mbr) -> Option<bool> {
         (**self).classify(b)
+    }
+    fn classify_live(&self, b: &Mbr, live: Live) -> Verdict {
+        (**self).classify_live(b, live)
+    }
+    fn contains_live(&self, p: Point, live: Live) -> bool {
+        (**self).contains_live(p, live)
     }
 }
 

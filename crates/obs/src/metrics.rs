@@ -41,6 +41,10 @@ pub enum Counter {
     /// (`inflow_geometry::area`) — grid cells × samples — plus the
     /// field evaluations of long-visit dwell integrations.
     GridProbes,
+    /// Quadtree blocks the grid integrators classified, each
+    /// integration's whole grid included: the work of settling the grid
+    /// that [`Counter::GridProbes`] leaves out.
+    GridBlocks,
     /// Objects considered whose snapshot/interval uncertainty region came
     /// out empty (degraded data: the object contributes no flow).
     EmptyUrs,
@@ -165,7 +169,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in display order.
-    pub const ALL: [Counter; 60] = [
+    pub const ALL: [Counter; 61] = [
         Counter::ObjectsConsidered,
         Counter::UrsBuilt,
         Counter::PresenceEvaluations,
@@ -177,6 +181,7 @@ impl Counter {
         Counter::ExactFlowsResolved,
         Counter::PoisPruned,
         Counter::GridProbes,
+        Counter::GridBlocks,
         Counter::EmptyUrs,
         Counter::MissingUrs,
         Counter::SanitizeDetected,
@@ -242,6 +247,7 @@ impl Counter {
             Counter::ExactFlowsResolved => "exact_flows_resolved",
             Counter::PoisPruned => "pois_pruned",
             Counter::GridProbes => "grid_probes",
+            Counter::GridBlocks => "grid_blocks",
             Counter::EmptyUrs => "empty_urs",
             Counter::MissingUrs => "missing_urs",
             Counter::SanitizeDetected => "sanitize_detected",

@@ -4,11 +4,12 @@ use crate::context::IndoorContext;
 use crate::piece::DwellPiece;
 use crate::regions::{ConstrainedRing, ConstrainedTheta, HostCell, IndoorAnchor};
 use inflow_geometry::{
-    all_of, any_of, area_in_polygon, field_in_polygon, Circle, ExtendedEllipse, GridResolution,
-    Mbr, Point, Region, Ring,
+    area_in_polygon, field_in_polygon, Circle, ExtendedEllipse, GridResolution, Live, Mbr, Point,
+    Region, Ring, Verdict,
 };
 use inflow_indoor::{DeviceId, FloorPlan, Poi};
 use inflow_tracking::{ObjectId, ObjectState, ObjectTrackingTable, Timestamp};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// How far apart, relative to the piece length, the bounds of the time
@@ -80,14 +81,117 @@ struct Segment {
 }
 
 impl Segment {
-    fn contains(&self, p: Point, host: Option<&HostCell>) -> bool {
-        self.mbr.contains(p) && self.pieces.iter().all(|x| x.contains(p, host))
+    /// Its parts: the MBR, then the pieces.
+    fn parts(&self) -> usize {
+        1 + self.pieces.len()
     }
 
-    fn classify(&self, b: &Mbr, host: Option<&HostCell>) -> Option<bool> {
-        match self.mbr.classify(b) {
-            Some(false) => Some(false),
-            g => all_of(std::iter::once(g).chain(self.pieces.iter().map(|x| x.classify(b, host)))),
+    /// Whether `p` is in the segment, testing only the parts `live` holds
+    /// from bit `first` on. `false` when none is live: a segment proven
+    /// in would have settled the whole union, so it was proven out.
+    fn contains(&self, p: Point, host: Option<&HostCell>, live: Live, first: usize) -> bool {
+        let mut tested = live.has(first);
+        if tested && !self.mbr.contains(p) {
+            return false;
+        }
+        for (k, x) in self.pieces.iter().enumerate() {
+            if live.has(first + 1 + k) {
+                if !x.contains(p, host) {
+                    return false;
+                }
+                tested = true;
+            }
+        }
+        tested
+    }
+
+    /// Classifies the parts `live` holds from bit `first` on: out as soon
+    /// as one part is, or when none is live (see [`Segment::contains`]);
+    /// in once every live part is proven; else open, with the parts just
+    /// proven dropped from `live`.
+    fn classify(&self, b: &Mbr, host: Option<&HostCell>, live: Live, first: usize) -> Verdict {
+        let (mut left, mut open, mut tested) = (live, false, false);
+        for bit in first..first + self.parts() {
+            if !live.has(bit) {
+                continue;
+            }
+            tested = true;
+            let verdict = if bit == first {
+                self.mbr.classify(b)
+            } else {
+                self.pieces[bit - first - 1].classify(b, host)
+            };
+            match verdict {
+                Some(false) => return Verdict::Out,
+                Some(true) => left = left.without(bit),
+                None => open = true,
+            }
+        }
+        match (tested, open) {
+            (false, _) => Verdict::Out,
+            (true, true) => Verdict::Open(left),
+            (true, false) => Verdict::In,
+        }
+    }
+}
+
+/// The union of `segments` — the one implementation of the membership
+/// tests of [`UncertaintyRegion`] and [`RestrictedUr`].
+///
+/// Each segment's parts take the next bits of a [`Live`] set: its MBR,
+/// then its pieces. A segment that does not fit whole below
+/// [`Live::CAPACITY`] takes no bits, so all its parts stay live. Below a
+/// block, a part's clear bit means proven in, and a segment with none
+/// set was proven out.
+struct Union<'a, S> {
+    segments: &'a [S],
+    host: Option<&'a HostCell>,
+}
+
+impl<S: Borrow<Segment>> Union<'_, S> {
+    /// The bit of the first part of the next segment, `s`, with `next`
+    /// the first bit not yet taken.
+    fn first_bit(next: &mut usize, s: &Segment) -> usize {
+        let first = *next;
+        *next += s.parts();
+        if *next <= Live::CAPACITY {
+            first
+        } else {
+            Live::CAPACITY
+        }
+    }
+
+    fn contains(&self, p: Point, live: Live) -> bool {
+        let mut next = 0;
+        for s in self.segments {
+            let s = s.borrow();
+            let first = Self::first_bit(&mut next, s);
+            if s.contains(p, self.host, live, first) {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn classify(&self, b: &Mbr, live: Live) -> Verdict {
+        let (mut left, mut open, mut next) = (live, false, 0);
+        for s in self.segments {
+            let s = s.borrow();
+            let first = Self::first_bit(&mut next, s);
+            match s.classify(b, self.host, left, first) {
+                Verdict::In => return Verdict::In,
+                Verdict::Out => {
+                    for bit in first..first + s.parts() {
+                        left = left.without(bit);
+                    }
+                }
+                Verdict::Open(l) => (left, open) = (l, true),
+            }
+        }
+        if open {
+            Verdict::Open(left)
+        } else {
+            Verdict::Out
         }
     }
 }
@@ -96,11 +200,13 @@ impl Segment {
 /// disks and inter-detection ellipses — each carrying its small MBR
 /// (§4.3.2, Figure 9). Snapshot regions consist of a single segment.
 ///
-/// Keeping the segments explicit serves two purposes: the improved
+/// Keeping the segments explicit serves three purposes: the improved
 /// interval join checks POI entries against the small MBRs
-/// ([`UncertaintyRegion::any_segment_intersects`]), and presence
+/// ([`UncertaintyRegion::any_segment_intersects`]), presence
 /// integration restricts membership tests to the segments near the POI
-/// rather than scanning the whole trajectory per probe.
+/// rather than scanning the whole trajectory per probe, and a block
+/// verdict hands down which segments and pieces are still open
+/// ([`Region::classify_live`]), so the probes below it test only those.
 pub struct UncertaintyRegion {
     segments: Vec<Segment>,
     mbr: Mbr,
@@ -158,11 +264,15 @@ impl UncertaintyRegion {
     pub fn restricted_to_poi(&self, plan: &FloorPlan, poi: &Poi) -> RestrictedUr<'_> {
         RestrictedUr { host: HostCell::of_poi(plan, poi), ..self.restricted_to(&poi.mbr()) }
     }
+
+    fn union(&self) -> Union<'_, Segment> {
+        Union { segments: &self.segments, host: None }
+    }
 }
 
 impl Region for UncertaintyRegion {
     fn contains(&self, p: Point) -> bool {
-        self.mbr.contains(p) && self.segments.iter().any(|s| s.contains(p, None))
+        self.contains_live(p, Live::ALL)
     }
     fn mbr(&self) -> Mbr {
         self.mbr
@@ -171,10 +281,16 @@ impl Region for UncertaintyRegion {
         self.is_empty()
     }
     fn classify(&self, b: &Mbr) -> Option<bool> {
-        match self.mbr.classify(b) {
-            Some(false) => Some(false),
-            g => all_of([g, any_of(self.segments.iter().map(|s| s.classify(b, None)))]),
+        self.classify_live(b, Live::ALL).settled()
+    }
+    fn classify_live(&self, b: &Mbr, live: Live) -> Verdict {
+        if self.mbr.classify(b) == Some(false) {
+            return Verdict::Out;
         }
+        self.union().classify(b, live)
+    }
+    fn contains_live(&self, p: Point, live: Live) -> bool {
+        self.mbr.contains(p) && self.union().contains(p, live)
     }
 }
 
@@ -188,15 +304,27 @@ pub struct RestrictedUr<'a> {
     host: Option<HostCell>,
 }
 
+impl RestrictedUr<'_> {
+    fn union(&self) -> Union<'_, &Segment> {
+        Union { segments: &self.segments, host: self.host.as_ref() }
+    }
+}
+
 impl Region for RestrictedUr<'_> {
     fn contains(&self, p: Point) -> bool {
-        self.segments.iter().any(|s| s.contains(p, self.host.as_ref()))
+        self.contains_live(p, Live::ALL)
     }
     fn mbr(&self) -> Mbr {
         self.mbr
     }
     fn classify(&self, b: &Mbr) -> Option<bool> {
-        any_of(self.segments.iter().map(|s| s.classify(b, self.host.as_ref())))
+        self.classify_live(b, Live::ALL).settled()
+    }
+    fn classify_live(&self, b: &Mbr, live: Live) -> Verdict {
+        self.union().classify(b, live)
+    }
+    fn contains_live(&self, p: Point, live: Live) -> bool {
+        self.union().contains(p, live)
     }
 }
 
@@ -893,6 +1021,39 @@ mod tests {
         // Entirely outside the lifetime.
         assert!(eng.interval_chain(&ott, ObjectId(1), 20.0, 30.0).is_none());
         assert!(eng.interval_chain(&ott, ObjectId(1), -9.0, -1.0).is_none());
+    }
+
+    #[test]
+    fn a_segment_past_the_live_capacity_is_tested_every_time() {
+        // 31 two-part disk segments take bits 0–61. The last segment,
+        // disk ∩ ring, would take bits 62–64, so it takes none.
+        let disk_segment = |c: Circle| Segment { mbr: c.mbr(), pieces: vec![Piece::Disk(c)] };
+        let mut segments: Vec<Segment> = (0..31)
+            .map(|i| disk_segment(Circle::new(Point::new(3.0 * i as f64, 0.0), 1.0)))
+            .collect();
+        // The first disk crosses the block below, so the union stays open.
+        segments[0] = disk_segment(Circle::new(Point::new(0.0, 6.6), 0.3));
+        let cut = Circle::new(Point::new(0.0, 14.0), 2.0);
+        let ring = Ring::new(Circle::new(Point::new(0.0, 10.0), 1.0), 3.0);
+        segments.push(Segment {
+            mbr: cut.mbr().intersection(&ring.mbr()),
+            pieces: vec![Piece::Disk(cut), Piece::Ring(ConstrainedRing::euclidean(ring))],
+        });
+        let ur = UncertaintyRegion::from_segments(segments);
+        // The ring holds the block and the last segment's MBR misses it:
+        // recording that verdict in bit 62 alone would leave the ring,
+        // past the capacity, to be tested as if it were the segment.
+        let b = Mbr::new(Point::new(-1.0, 6.2), Point::new(1.0, 7.0));
+        assert_eq!(Region::classify(&ring, &b), Some(true));
+        let Verdict::Open(live) = ur.classify_live(&b, Live::ALL) else {
+            panic!("the first disk crosses the block");
+        };
+        for i in 0..=8 {
+            for j in 0..=8 {
+                let p = Point::new(-1.0 + 0.25 * i as f64, 6.2 + 0.1 * j as f64);
+                assert_eq!(ur.contains_live(p, live), ur.contains(p), "at {p}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ cargo test -q -p inflow --doc --offline
 echo "== chaos suite (seeded corruption grid × all four algorithms)"
 cargo test -q --test chaos --test robustness --offline
 
-echo "== presence kernel + host-cell oracle (verdicts sound with and without host cells; presence bit-identical to probing every cell, on and off host cells)"
+echo "== presence kernel + host-cell oracle (verdicts sound with and without host cells; presence bit-identical to probing every cell, on and off host cells, for edge cells at FINE and under inherited part verdicts)"
 cargo test -q --test presence_kernel --offline
 
 echo "== perfbench (the benchmark crate builds and passes its tests against this tree)"

@@ -481,7 +481,9 @@ fn query_distrib_and_longvisit_verbs() {
     ])
     .expect("profiled longvisit succeeds");
     assert!(profiled.starts_with(&lv), "profile must only append:\n{profiled}");
-    for needle in ["integrate_dwell", "urs_built", "presence_evaluations", "grid_probes"] {
+    for needle in
+        ["integrate_dwell", "urs_built", "presence_evaluations", "grid_probes", "grid_blocks"]
+    {
         assert!(profiled.contains(needle), "missing {needle}:\n{profiled}");
     }
 

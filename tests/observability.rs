@@ -133,6 +133,8 @@ fn profiled_snapshot_join_has_nested_spans_and_matching_counters() {
     assert!(profile.counter("rtree_nodes_visited") > 0);
     // Every presence integration reads the area grid at least once.
     assert!(s.presence_evaluations == 0 || profile.counter("grid_probes") > 0);
+    // ... and classifies the grid's blocks first.
+    assert!(s.presence_evaluations == 0 || profile.counter("grid_blocks") > 0);
     // Queue traffic is conserved: nothing pops that wasn't pushed.
     assert!(profile.counter("queue_pops") <= profile.counter("queue_pushes"));
 

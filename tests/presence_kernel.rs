@@ -15,7 +15,17 @@
 //!   plain per-cell pass written out here.
 //! * **Work**: below a block where the region is proven only the POI
 //!   polygon is tested, so a POI strictly inside the region costs no
-//!   region probe at all, while a region crossing the POI is probed.
+//!   region probe at all and settles as one block, while a region
+//!   crossing the POI is probed.
+//! * **Edge cells at FINE**: a rectangle POI inside a proven region
+//!   settles to its own edges, where `Polygon::contains_fast` is
+//!   half-open; the edge cells take the per-cell rule's values, which
+//!   differ from a plain fill at FINE's 6×6 super-samples.
+//! * **Inherited part verdicts**: below a block, an uncertainty region
+//!   tests only the segments and pieces the block left open. Interval
+//!   views with more parts than the live set holds and disk ∩ ring
+//!   snapshots whose ring is proven over part of the POI integrate bit
+//!   for bit like probing every cell.
 //! * **Host cells**: presence evaluates the topology check with the POI's
 //!   host cell, skipping point location and `sole_cell` inside it. The
 //!   plans resolve the host cells they should, host-cell verdicts and
@@ -27,9 +37,9 @@
 //! MBR containment, rectangle clipping) live here too.
 
 use inflow::geometry::{
-    area_in_polygon, area_of_region, circle_polygon_area, integration_probes, BoxedRegion, Circle,
-    EmptyRegion, ExtendedEllipse, GridResolution, Mbr, Point, Polygon, Region, RegionIntersection,
-    RegionUnion, Ring,
+    area_in_polygon, area_of_region, circle_polygon_area, integration_blocks, integration_probes,
+    BoxedRegion, Circle, EmptyRegion, ExtendedEllipse, GridResolution, Live, Mbr, Point, Polygon,
+    Region, RegionIntersection, RegionUnion, Ring, Verdict,
 };
 use inflow::indoor::{CellKind, DeviceId, FloorPlan, FloorPlanBuilder};
 use inflow::tracking::{ObjectId, ObjectState, ObjectTrackingTable, OttRow};
@@ -517,24 +527,26 @@ fn walls_plan() -> FloorPlan {
     b.build().unwrap()
 }
 
-/// Seeded tracking data on `plan`: each object visits random devices,
-/// pausing between visits for 1.1–3× the shortest indoor walk at
-/// `vmax`, so that every gap is bridgeable and its URs are not empty.
+/// Seeded tracking data: each object makes `visits` visits to random
+/// `devices`, pausing between visits for 1.1–3× the shortest indoor walk
+/// at `vmax`, so that every gap is bridgeable and its URs are not empty.
 fn random_ott(
     ctx: &IndoorContext,
+    devices: &[DeviceId],
     vmax: f64,
     objects: u32,
+    visits: usize,
     rng: &mut StdRng,
 ) -> ObjectTrackingTable {
-    let devices = ctx.plan().devices();
+    let plan = ctx.plan();
     let mut rows = Vec::new();
     for object in 0..objects {
         let mut t = rng.random_range(0.0..20.0);
-        let mut at = &devices[rng.random_range(0..devices.len())];
-        for _ in 0..8 {
+        let mut at = plan.device(devices[rng.random_range(0..devices.len())]);
+        for _ in 0..visits {
             let dwell = rng.random_range(1.0..10.0);
             rows.push(OttRow { object: ObjectId(object), device: at.id, ts: t, te: t + dwell });
-            let next = &devices[rng.random_range(0..devices.len())];
+            let next = plan.device(devices[rng.random_range(0..devices.len())]);
             let walk = ctx.indoor_distance(at.position, next.position).unwrap();
             let gap = (walk - at.range - next.range).max(0.5) / vmax;
             t += dwell + gap * rng.random_range(1.1..3.0);
@@ -542,6 +554,11 @@ fn random_ott(
         }
     }
     ObjectTrackingTable::from_rows(rows).unwrap()
+}
+
+/// Every device of the plan, for [`random_ott`].
+fn all_devices(plan: &FloorPlan) -> Vec<DeviceId> {
+    plan.devices().iter().map(|d| d.id).collect()
 }
 
 fn hosted_count(plan: &FloorPlan) -> (usize, usize) {
@@ -578,7 +595,7 @@ fn presence_matches_the_plain_rule_off_host_cells_and_on_walls() {
     let mut rng = StdRng::seed_from_u64(0x0FF5);
     for (name, plan) in [("metro", metro_station_plan(8)), ("walls", walls_plan())] {
         let ctx = Arc::new(IndoorContext::new(plan));
-        let ott = random_ott(&ctx, 1.1, 12, &mut rng);
+        let ott = random_ott(&ctx, &all_devices(ctx.plan()), 1.1, 12, 8, &mut rng);
         let w = Workload { ctx, ott, ground_truth: Vec::new(), vmax: 1.1 };
         let plan = w.ctx.plan();
         let (mut hosted, mut unhosted, mut on_walls) = (0, 0, 0);
@@ -626,26 +643,28 @@ fn presence_matches_the_plain_rule_off_host_cells_and_on_walls() {
     }
 }
 
-/// `area_in_polygon` of `region` in `poi`, and the region probes it cost.
-fn probed_area(region: &dyn Region, poi: &Polygon, res: GridResolution) -> (f64, u64) {
-    let p0 = integration_probes();
+/// `area_in_polygon` of `region` in `poi`, and the region probes and
+/// grid blocks it cost.
+fn probed_area(region: &dyn Region, poi: &Polygon, res: GridResolution) -> (f64, u64, u64) {
+    let (p0, b0) = (integration_probes(), integration_blocks());
     let area = area_in_polygon(region, poi, res);
-    (area, integration_probes() - p0)
+    (area, integration_probes() - p0, integration_blocks() - b0)
 }
 
 /// A POI strictly inside the region: the window is the POI's MBR, the
-/// region is proven over all of it, and only the POI rectangle is tested.
+/// region is proven over all of it, and the grid settles as one block.
 fn assert_probe_free(what: &str, region: &dyn Region, poi: &Polygon, res: GridResolution) {
     assert!(region.mbr().contains_mbr(&poi.mbr()), "{what}: window is not the POI's MBR");
-    let (area, probes) = probed_area(region, poi, res);
+    let (area, probes, blocks) = probed_area(region, poi, res);
     assert_eq!(probes, 0, "{what} {res:?}: {probes} region probes for a POI inside the region");
+    assert_eq!(blocks, 1, "{what} {res:?}: {blocks} blocks for a POI inside the region");
     let reference = area_in_polygon(&Opaque(region), poi, res);
     assert_eq!(area.to_bits(), reference.to_bits(), "{what} {res:?}: {area} vs {reference}");
 }
 
 /// A region whose boundary crosses the POI must still be probed.
 fn assert_probed(what: &str, region: &dyn Region, poi: &Polygon, res: GridResolution) {
-    let (area, probes) = probed_area(region, poi, res);
+    let (area, probes, _) = probed_area(region, poi, res);
     assert!(area > 0.0 && area < poi.area(), "{what}: {area} does not cross the POI");
     assert!(probes > 0, "{what} {res:?}: a crossing region issued no probe");
 }
@@ -682,7 +701,8 @@ fn proven_region_issues_no_probes() {
                     inside += 1;
                 }
                 None => {
-                    let (area, probes) = probed_area(&view, poi.extent(), GridResolution::COARSE);
+                    let (area, probes, _) =
+                        probed_area(&view, poi.extent(), GridResolution::COARSE);
                     if area > 0.0 && area < poi.area() {
                         assert!(probes > 0, "{what}: a crossing UR issued no probe");
                         crossed += 1;
@@ -693,6 +713,263 @@ fn proven_region_issues_no_probes() {
         }
     }
     assert!(inside > 0 && crossed > 0, "{inside} POIs inside, {crossed} crossed");
+}
+
+/// `Polygon::contains_fast` on an axis rectangle is the half-open box
+/// `[lo, hi)` on both axes: bottom and left edges in, top and right
+/// edges out. The integrator's edge-cell values rest on it.
+#[test]
+fn contains_fast_is_half_open_on_axis_rectangles() {
+    let mut rng = StdRng::seed_from_u64(0x4A1F);
+    for _ in 0..48 {
+        let lo = Point::new(rng.random_range(-500.0..500.0), rng.random_range(-500.0..500.0));
+        let hi = Point::new(lo.x + rng.random_range(0.1..20.0), lo.y + rng.random_range(0.1..20.0));
+        // Either winding order.
+        let poly = if rng.random_range(0..2usize) == 0 {
+            Polygon::rectangle(lo, hi)
+        } else {
+            Polygon::new(vec![lo, Point::new(lo.x, hi.y), hi, Point::new(hi.x, lo.y)]).unwrap()
+        };
+        assert!(poly.is_axis_rectangle());
+        let (x, y) = (rng.random_range(lo.x..hi.x), rng.random_range(lo.y..hi.y));
+        let cases = [
+            (Point::new(x, y), true),
+            (Point::new(lo.x, y), true),
+            (Point::new(x, lo.y), true),
+            (lo, true),
+            (Point::new(hi.x, y), false),
+            (Point::new(x, hi.y), false),
+            (hi, false),
+            (Point::new(hi.x, lo.y), false),
+            (Point::new(lo.x, hi.y), false),
+            (Point::new(lo.x.next_down(), y), false),
+            (Point::new(x, lo.y.next_down()), false),
+            (Point::new(hi.x.next_down(), y), true),
+            (Point::new(x, hi.y.next_down()), true),
+        ];
+        for (p, inside) in cases {
+            assert_eq!(poly.contains_fast(p), inside, "{p} in {:?}", poly.mbr());
+        }
+    }
+}
+
+/// Rectangle POIs strictly inside a disk, far from the origin so that
+/// the window's last lattice line lands on either side of the POI's top
+/// and right edges: each settles as one block, bit for bit like
+/// [`per_cell_area`] and [`Opaque`]. The sweep must hit cell areas `a`
+/// with `s²·(a/s²) ≠ a` where a rim line fails, the one place where a
+/// plain `a` fill would differ from the per-cell rule.
+#[test]
+fn rectangles_in_a_proven_region_settle_to_their_edges() {
+    let mut rng = StdRng::seed_from_u64(0xED6E);
+    let (mut uneven, mut rims) = (0, 0);
+    // A 4×4 FINE-like grid sums so few cells that one ulp rarely hides.
+    let tiny = GridResolution::new(4, 6);
+    for (res, cases) in [
+        (GridResolution::COARSE, 48),
+        (GridResolution::DEFAULT, 48),
+        (GridResolution::FINE, 16),
+        (tiny, 400),
+    ] {
+        let (n, s2) = (res.base as f64, (res.supersample * res.supersample) as f64);
+        for _ in 0..cases {
+            let lo = Point::new(rng.random_range(-900.0..900.0), rng.random_range(-900.0..900.0));
+            let (w, h) = (rng.random_range(0.2..15.0), rng.random_range(0.2..15.0));
+            let poi = Polygon::rectangle(lo, Point::new(lo.x + w, lo.y + h));
+            let disk = Circle::new(poi.mbr().center(), 0.5 * w.hypot(h) + 0.5);
+            let what = format!("{:?} in {disk:?}", poi.mbr());
+            assert_probe_free(&what, &disk, &poi, res);
+            let area = area_in_polygon(&disk, &poi, res);
+            let plain = per_cell_area(&disk, &poi, res);
+            assert_eq!(area.to_bits(), plain.to_bits(), "{what} {res:?}: {area} vs {plain}");
+            let m = poi.mbr();
+            let (dx, dy) = (m.width() / n, m.height() / n);
+            let a = dx * dy;
+            if s2 * (a / s2) != a {
+                uneven += 1;
+                rims += usize::from(m.lo.x + dx * n >= m.hi.x || m.lo.y + dy * n >= m.hi.y);
+            }
+        }
+    }
+    assert!(
+        uneven > 20 && rims > 10,
+        "{uneven} uneven cell areas, {rims} of them on a failing rim"
+    );
+}
+
+/// Checks the live sets `region` hands down against `contains` on
+/// random blocks near `around` and their quadrants: a verdict's block,
+/// and every quadrant classified with the parts it left open, must test
+/// the same under `contains_live` with the set in force as under
+/// `contains`, at a 5×5 lattice. Returns how many blocks handed down a
+/// set with some part proven.
+fn check_live_sound(what: &str, region: &dyn Region, around: &Mbr, rng: &mut StdRng) -> usize {
+    let agree = |b: &Mbr, verdict: Verdict| {
+        for p in lattice(b) {
+            let got = match verdict {
+                Verdict::In => true,
+                Verdict::Out => false,
+                Verdict::Open(live) => region.contains_live(p, live),
+            };
+            assert_eq!(got, region.contains(p), "{what}: {verdict:?} over {b:?} at {p}");
+        }
+    };
+    let mut inherited = 0;
+    for _ in 0..40 {
+        let b = random_block(rng, around);
+        let verdict = region.classify_live(&b, Live::ALL);
+        agree(&b, verdict);
+        let Verdict::Open(live) = verdict else { continue };
+        inherited += usize::from(live != Live::ALL);
+        let m = b.center();
+        for q in [
+            Mbr::new(b.lo, m),
+            Mbr::new(Point::new(m.x, b.lo.y), Point::new(b.hi.x, m.y)),
+            Mbr::new(Point::new(b.lo.x, m.y), Point::new(m.x, b.hi.y)),
+            Mbr::new(m, b.hi),
+        ] {
+            agree(&q, region.classify_live(&q, live));
+        }
+    }
+    inherited
+}
+
+/// Interval URs of an object shuttling around room 1 of the walls plan,
+/// active at the start and inactive at the end, so that the last segment
+/// has three parts (its `Θ ∩ ring`). Restricted to one POI they keep up
+/// to 40-odd segments: more than the live set has bits for, and in some
+/// views the last segment starts two bits below the capacity, so only
+/// part of it would fit. Live sets are sound on random blocks, and the
+/// area is bit-identical to [`Opaque`] and [`per_cell_area`].
+#[test]
+fn interval_views_past_the_live_capacity_are_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(0x5E65);
+    let ctx = Arc::new(IndoorContext::new(walls_plan()));
+    // dev-door-1 on room 1's door, dev-hall-west and dev-room-1.
+    let shuttle = [DeviceId(1), DeviceId(4), DeviceId(6)];
+    let ott = random_ott(&ctx, &shuttle, 1.1, 1, 44, &mut rng);
+    let w = Workload { ctx, ott, ground_truth: Vec::new(), vmax: 1.1 };
+    let chain: Vec<_> =
+        w.ott.object_records(ObjectId(0)).iter().map(|&id| *w.ott.record(id)).collect();
+    let ts = 0.5 * (chain[0].ts + chain[0].te);
+    let (mut past, mut straddling, mut inherited) = (0, 0, 0);
+    for (k, pair) in chain.windows(2).enumerate().skip(12) {
+        let te = 0.5 * (pair[0].te + pair[1].ts);
+        let topology_check = k % 2 == 0;
+        let eng = engine(&w, topology_check, GridResolution::COARSE);
+        let ur = eng.interval_ur(&w.ott, ObjectId(0), ts, te).unwrap();
+        let last = ur.segment_mbrs().last().unwrap();
+        for poi in w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())) {
+            let segments = ur.segment_mbrs().filter(|m| m.intersects(&poi.mbr())).count();
+            // Every segment but the last has two parts.
+            let straddles = last.intersects(&poi.mbr()) && 2 * segments == Live::CAPACITY;
+            if 2 * segments <= Live::CAPACITY && !straddles && k % 4 != 0 {
+                continue;
+            }
+            past += usize::from(2 * segments > Live::CAPACITY);
+            straddling += usize::from(straddles);
+            let what = format!("[{ts}, {te}] topology={topology_check}, {}", poi.name);
+            let view = ur.restricted_to_poi(w.ctx.plan(), poi);
+            inherited += check_live_sound(&what, &view, &poi.mbr(), &mut rng);
+            let resolutions: &[GridResolution] = if straddles {
+                &[GridResolution::COARSE, GridResolution::DEFAULT, GridResolution::FINE]
+            } else {
+                &[GridResolution::COARSE]
+            };
+            for &res in resolutions {
+                let eng = engine(&w, topology_check, res);
+                let fast = area_in_polygon(&view, poi.extent(), res);
+                let reference = area_in_polygon(&Opaque(&view), poi.extent(), res);
+                assert_eq!(fast.to_bits(), reference.to_bits(), "{what} {res:?}: {reference}");
+                let plain = per_cell_area(&ur.restricted_to(&poi.mbr()), poi.extent(), res);
+                assert_eq!(fast.to_bits(), plain.to_bits(), "{what} {res:?}: per-cell {plain}");
+                let presence = (fast / poi.area()).clamp(0.0, 1.0);
+                assert_eq!(eng.presence(&ur, poi).to_bits(), presence.to_bits(), "{what}");
+            }
+        }
+    }
+    assert!(
+        past >= 10 && straddling >= 2 && inherited > 50,
+        "{past} views past the live capacity, {straddling} straddling it, {inherited} inherited"
+    );
+}
+
+/// Active snapshots just after a move, `disk ∩ ring`: the predecessor's
+/// ring is proven in over part of the POI and crosses the rest, so blocks
+/// below the window drop it from the live set while their neighbours
+/// still test it. Bit-identical to [`Opaque`] and [`per_cell_area`] at
+/// all three resolutions, topology on and off.
+#[test]
+fn disk_ring_snapshots_with_partly_proven_rings_are_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(0xD15C);
+    let ctx = Arc::new(IndoorContext::new(walls_plan()));
+    let ott = random_ott(&ctx, &all_devices(ctx.plan()), 1.1, 12, 8, &mut rng);
+    let w = Workload { ctx, ott, ground_truth: Vec::new(), vmax: 1.1 };
+    let plan = w.ctx.plan();
+    // `objects()` has no fixed order; sorting keeps the draw seeded.
+    let mut objects: Vec<_> = w.ott.objects().collect();
+    objects.sort_unstable();
+    let mut moves: Vec<(ObjectId, f64, Ring)> = Vec::new();
+    for object in objects {
+        for pair in w.ott.object_records(object).windows(2) {
+            let (pre, r) = (w.ott.record(pair[0]), w.ott.record(pair[1]));
+            if pre.device == r.device {
+                continue;
+            }
+            let circle = plan.device(pre.device).detection_circle();
+            // Early in the record, while the ring still cuts the disk.
+            let t = r.ts + 0.3 * (r.te - r.ts).min(2.0);
+            moves.push((object, t, Ring::new(circle, w.vmax * (t - pre.te))));
+        }
+    }
+    let (mut partial, mut pairs) = (0, 0);
+    // Fewer moves on the finer grids, whose per-cell passes cost more.
+    for (res, step) in
+        [(GridResolution::COARSE, 1), (GridResolution::DEFAULT, 4), (GridResolution::FINE, 24)]
+    {
+        for topology_check in [false, true] {
+            let eng = engine(&w, topology_check, res);
+            for (object, t, ring) in moves.iter().step_by(step) {
+                let state = w.ott.state_at(*object, *t).unwrap();
+                assert!(matches!(state, ObjectState::Active { pre: Some(_), .. }));
+                let ur = eng.snapshot_ur(&w.ott, state, *t);
+                for poi in plan.pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())) {
+                    let what =
+                        format!("{object:?} t={t} topology={topology_check} {res:?}, {}", poi.name);
+                    let view = ur.restricted_to_poi(plan, poi);
+                    let fast = area_in_polygon(&view, poi.extent(), res);
+                    let reference = area_in_polygon(&Opaque(&view), poi.extent(), res);
+                    assert_eq!(
+                        fast.to_bits(),
+                        reference.to_bits(),
+                        "{what}: {fast} vs {reference}"
+                    );
+                    let plain = per_cell_area(&ur.restricted_to(&poi.mbr()), poi.extent(), res);
+                    assert_eq!(fast.to_bits(), plain.to_bits(), "{what}: per-cell {plain}");
+                    if fast > 0.0 && fast < poi.area() {
+                        pairs += 1;
+                        // The Euclidean ring, proven in over some of a 4×4
+                        // split of the window and not over the rest.
+                        let m = view.mbr().intersection(&poi.mbr());
+                        let (qw, qh) = (m.width() / 4.0, m.height() / 4.0);
+                        let verdicts: Vec<_> = (0..16)
+                            .map(|k| {
+                                let lo = Point::new(
+                                    m.lo.x + qw * (k % 4) as f64,
+                                    m.lo.y + qh * (k / 4) as f64,
+                                );
+                                ring.classify(&Mbr::new(lo, Point::new(lo.x + qw, lo.y + qh)))
+                            })
+                            .collect();
+                        partial += usize::from(
+                            verdicts.contains(&Some(true)) && verdicts.iter().any(|v| v.is_none()),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(partial >= 10 && pairs >= 40, "{partial} partly proven rings in {pairs} crossings");
 }
 
 #[test]
