@@ -22,10 +22,16 @@
 //!
 //! `DwellState` must reproduce `object_dwell` bit for bit under the
 //! tracker's row evolution, including an inactive tail and a repair.
+//!
+//! The field integrator itself is pinned by its bits: every piece × POI
+//! of the fixture, at three resolutions with the topology check on and
+//! off, must give the same `f64` and cost the same grid blocks and
+//! field values as [`FIELD_GOLDEN`] records, so a changed summation
+//! order or settling rule cannot pass unseen.
 
 use inflow::core::contrib::snapshot_object_contrib;
 use inflow::core::{object_dwell, DwellState, QueryStats};
-use inflow::geometry::{GridResolution, Point, Polygon};
+use inflow::geometry::{integration_blocks, integration_probes, GridResolution, Point, Polygon};
 use inflow::indoor::{CellKind, DeviceId, FloorPlanBuilder, PoiId};
 use inflow::obs::Recorder;
 use inflow::rtree::RTree;
@@ -307,5 +313,153 @@ fn incremental_dwell_is_bit_identical_to_batch_under_appends() {
         step(&mut state, rewritten.clone());
         rewritten[2].te = 56.0;
         step(&mut state, rewritten);
+    }
+}
+
+/// One line per (resolution, topology check, object, piece, POI) of the
+/// fixture over `[0, 40]` whose piece reaches the POI: the dwell's `f64`
+/// bits, then the grid blocks and field values the integration cost.
+/// Taken from the integrator before its indicator and field walks were
+/// merged into one.
+const FIELD_GOLDEN: &str = "\
+C 1 1 0-30 0 4011d78000000000 421 124\n\
+C 1 2 0-10 0 3ff7ca0000000000 421 124\n\
+C 1 2 10-20 0 4015a930e5ff1603 1269 670\n\
+C 1 2 10-20 1 0000000000000000 0 0\n\
+C 1 2 10-20 2 3fd208211b2521f3 497 50\n\
+C 1 2 20-30 0 3ff7ca0000000000 421 124\n\
+C 1 3 0-10 0 3ff7ca0000000000 421 124\n\
+C 1 3 10-12 0 3fb0a7240be406dc 853 548\n\
+C 1 3 12-20 0 3ff1df61fcd07e04 557 156\n\
+C 1 4 0-5 0 3fe7ca0000000000 421 124\n\
+C 1 4 5-25 0 401624db97694947 1205 60\n\
+C 1 4 5-25 1 4010d9f7e52f5c32 469 68\n\
+C 1 4 5-25 2 401cbb5a182d11c4 461 64\n\
+C 1 4 25-30 1 3fefb80000000000 421 124\n\
+C 1 5 0-5 0 3fe7ca0000000000 421 124\n\
+C 0 1 0-30 0 4011d78000000000 421 124\n\
+C 0 2 0-10 0 3ff7ca0000000000 421 124\n\
+C 0 2 10-20 0 4015a930e5ff1603 1269 670\n\
+C 0 2 10-20 1 0000000000000000 0 0\n\
+C 0 2 10-20 2 3fd28af7efe39dd3 525 46\n\
+C 0 2 20-30 0 3ff7ca0000000000 421 124\n\
+C 0 3 0-10 0 3ff7ca0000000000 421 124\n\
+C 0 3 10-12 0 3fb0a7240be406dc 853 548\n\
+C 0 3 12-20 0 3ff1df61fcd07e04 557 156\n\
+C 0 4 0-5 0 3fe7ca0000000000 421 124\n\
+C 0 4 5-25 0 401b12498515806f 1149 60\n\
+C 0 4 5-25 1 40178002a2cfdbc9 469 68\n\
+C 0 4 5-25 2 401f5ad680221efa 341 0\n\
+C 0 4 25-30 1 3fefb80000000000 421 124\n\
+C 0 5 0-5 0 3fe7ca0000000000 421 124\n\
+D 1 1 0-30 0 4011bb6000000000 917 252\n\
+D 1 2 0-10 0 3ff7a48000000000 917 252\n\
+D 1 2 10-20 0 40158a17bbc326b0 3949 116\n\
+D 1 2 10-20 1 0000000000000000 0 0\n\
+D 1 2 10-20 2 3fd2096cb02d63d1 697 101\n\
+D 1 2 20-30 0 3ff7a48000000000 917 252\n\
+D 1 3 0-10 0 3ff7a48000000000 917 252\n\
+D 1 3 10-12 0 3fb0b25d1961bcd2 3045 2040\n\
+D 1 3 12-20 0 3ff1c3d0f35ae4dd 1181 320\n\
+D 1 4 0-5 0 3fe7a48000000000 917 252\n\
+D 1 4 5-25 0 401610bca6ef0fe7 1445 116\n\
+D 1 4 5-25 1 4010fa6eddfebcef 741 132\n\
+D 1 4 5-25 2 401cbb46c072c2e4 717 128\n\
+D 1 4 25-30 1 3fef860000000000 917 252\n\
+D 1 5 0-5 0 3fe7a48000000000 917 252\n\
+D 0 1 0-30 0 4011bb6000000000 917 252\n\
+D 0 2 0-10 0 3ff7a48000000000 917 252\n\
+D 0 2 10-20 0 40158a17bbc326b0 3949 116\n\
+D 0 2 10-20 1 0000000000000000 0 0\n\
+D 0 2 10-20 2 3fd28d20dce0ecea 709 93\n\
+D 0 2 20-30 0 3ff7a48000000000 917 252\n\
+D 0 3 0-10 0 3ff7a48000000000 917 252\n\
+D 0 3 10-12 0 3fb0b25d1961bcd2 3045 2040\n\
+D 0 3 12-20 0 3ff1c3d0f35ae4dd 1181 320\n\
+D 0 4 0-5 0 3fe7a48000000000 917 252\n\
+D 0 4 5-25 0 401af896f37ea40d 1389 116\n\
+D 0 4 5-25 1 4017aa1ac3e63557 741 132\n\
+D 0 4 5-25 2 401f5ad680221efa 341 0\n\
+D 0 4 25-30 1 3fef860000000000 917 252\n\
+D 0 5 0-5 0 3fe7a48000000000 917 252\n\
+F 1 1 0-30 0 4011ac4ccccccccd 2585 644\n\
+F 1 2 0-10 0 3ff7906666666667 2585 644\n\
+F 1 2 10-20 0 40158feefce079e3 4723 292\n\
+F 1 2 10-20 1 0000000000000000 0 0\n\
+F 1 2 10-20 2 3fd209de9e3f074f 1373 251\n\
+F 1 2 20-30 0 3ff7906666666667 2585 644\n\
+F 1 3 0-10 0 3ff7906666666667 2585 644\n\
+F 1 3 10-12 0 3fb0ba75714ee3d8 12555 960\n\
+F 1 3 12-20 0 3ff1b5145fac51d3 3317 820\n\
+F 1 4 0-5 0 3fe7906666666667 2585 644\n\
+F 1 4 5-25 0 401614a571367d1d 2219 292\n\
+F 1 4 5-25 1 401107b989e740f7 1609 332\n\
+F 1 4 5-25 2 401cbb4365aae7bd 1613 320\n\
+F 1 4 25-30 1 3fef6b3333333334 2585 644\n\
+F 1 5 0-5 0 3fe7906666666667 2585 644\n\
+F 0 1 0-30 0 4011ac4ccccccccd 2585 644\n\
+F 0 2 0-10 0 3ff7906666666667 2585 644\n\
+F 0 2 10-20 0 40158feefce079e3 4723 292\n\
+F 0 2 10-20 1 0000000000000000 0 0\n\
+F 0 2 10-20 2 3fd28dd58f9f3845 1321 233\n\
+F 0 2 20-30 0 3ff7906666666667 2585 644\n\
+F 0 3 0-10 0 3ff7906666666667 2585 644\n\
+F 0 3 10-12 0 3fb0ba75714ee3d8 12555 960\n\
+F 0 3 12-20 0 3ff1b5145fac51d3 3317 820\n\
+F 0 4 0-5 0 3fe7906666666667 2585 644\n\
+F 0 4 5-25 0 401afd9755666808 2163 292\n\
+F 0 4 5-25 1 4017bb51a96f2b9d 1609 332\n\
+F 0 4 5-25 2 401f5ad680221efd 341 0\n\
+F 0 4 25-30 1 3fef6b3333333334 2585 644\n\
+F 0 5 0-5 0 3fe7906666666667 2585 644\n";
+
+/// The lines [`FIELD_GOLDEN`] pins, computed afresh.
+fn field_lines() -> Vec<String> {
+    let (ctx, devices, pois) = fixture();
+    let ott = ObjectTrackingTable::from_rows(fixture_rows(devices)).unwrap();
+    let mut objects: Vec<ObjectId> = ott.objects().collect();
+    objects.sort_unstable();
+    let mut lines = Vec::new();
+    for (tag, resolution) in
+        [("C", GridResolution::COARSE), ("D", GridResolution::DEFAULT), ("F", GridResolution::FINE)]
+    {
+        for topology_check in [true, false] {
+            let cfg = UrConfig { vmax: 1.1, topology_check, resolution, ..UrConfig::default() };
+            let engine = UrEngine::new(Arc::clone(&ctx), cfg);
+            for &object in &objects {
+                for (a, b) in pieces(&ott, object, 0.0, 40.0) {
+                    let Some(state) = ott.state_at(object, a + 0.5 * (b - a)) else { continue };
+                    let piece = engine.dwell_piece(&ott, state, a, b);
+                    for &poi in &pois {
+                        let poi_mbr = ctx.plan().poi(poi).mbr();
+                        if piece.is_empty() || !piece.mbr().intersects(&poi_mbr) {
+                            continue;
+                        }
+                        let (b0, p0) = (integration_blocks(), integration_probes());
+                        let dwell = engine.dwell(&piece, ctx.plan().poi(poi));
+                        lines.push(format!(
+                            "{tag} {} {} {a}-{b} {} {:016x} {} {}",
+                            u8::from(topology_check),
+                            object.0,
+                            poi.0,
+                            dwell.to_bits(),
+                            integration_blocks() - b0,
+                            integration_probes() - p0,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn field_integrator_bits_and_work_are_pinned() {
+    let got = field_lines();
+    let want: Vec<&str> = FIELD_GOLDEN.lines().collect();
+    assert_eq!(got.len(), want.len(), "case count");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "(res topology object piece poi bits blocks values)");
     }
 }

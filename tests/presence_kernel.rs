@@ -662,11 +662,18 @@ fn assert_probe_free(what: &str, region: &dyn Region, poi: &Polygon, res: GridRe
     assert_eq!(area.to_bits(), reference.to_bits(), "{what} {res:?}: {area} vs {reference}");
 }
 
-/// A region whose boundary crosses the POI must still be probed.
-fn assert_probed(what: &str, region: &dyn Region, poi: &Polygon, res: GridResolution) {
-    let (area, probes, _) = probed_area(region, poi, res);
+/// A region whose boundary crosses the POI must still be probed; returns
+/// the region probes and grid blocks it cost.
+fn assert_probed(
+    what: &str,
+    region: &dyn Region,
+    poi: &Polygon,
+    res: GridResolution,
+) -> (u64, u64) {
+    let (area, probes, blocks) = probed_area(region, poi, res);
     assert!(area > 0.0 && area < poi.area(), "{what}: {area} does not cross the POI");
     assert!(probes > 0, "{what} {res:?}: a crossing region issued no probe");
+    (probes, blocks)
 }
 
 #[test]
@@ -678,10 +685,17 @@ fn proven_region_issues_no_probes() {
         Ring::new(Circle::new(Point::new(4.0, 0.0), 1.0), 5.0),
     );
     let crossing = Circle::new(Point::new(1.0, 0.0), 1.2);
-    for res in [GridResolution::COARSE, GridResolution::DEFAULT, GridResolution::FINE] {
+    // The crossing circle's region probes and grid blocks, pinned at each
+    // resolution.
+    for (res, work) in [
+        (GridResolution::COARSE, (240, 149)),
+        (GridResolution::DEFAULT, (1476, 309)),
+        (GridResolution::FINE, (7904, 895)),
+    ] {
         assert_probe_free("circle", &circle, &poi, res);
         assert_probe_free("ring ∩ ring", &rings, &poi, res);
-        assert_probed("crossing circle", &crossing, &poi, res);
+        let got = assert_probed("crossing circle", &crossing, &poi, res);
+        assert_eq!(got, work, "crossing circle {res:?}: (probes, blocks)");
     }
 
     // Topology-constrained inactive snapshot URs (every third sample) on
@@ -690,7 +704,7 @@ fn proven_region_issues_no_probes() {
     let w = generate_synthetic(&SyntheticConfig::tiny());
     let eng = engine(&w, true, GridResolution::COARSE);
     let mut rng = StdRng::seed_from_u64(0x1AC7);
-    let (mut inside, mut crossed) = (0, 0);
+    let (mut inside, mut crossed, mut work) = (0, 0, (0, 0));
     for (ur, label) in sample_urs(&w, &eng, &mut rng, 60).iter().step_by(3) {
         for poi in w.ctx.plan().pois().iter().filter(|p| p.mbr().intersects(&ur.mbr())) {
             let view = ur.restricted_to(&poi.mbr());
@@ -701,8 +715,9 @@ fn proven_region_issues_no_probes() {
                     inside += 1;
                 }
                 None => {
-                    let (area, probes, _) =
+                    let (area, probes, blocks) =
                         probed_area(&view, poi.extent(), GridResolution::COARSE);
+                    work = (work.0 + probes, work.1 + blocks);
                     if area > 0.0 && area < poi.area() {
                         assert!(probes > 0, "{what}: a crossing UR issued no probe");
                         crossed += 1;
@@ -713,6 +728,13 @@ fn proven_region_issues_no_probes() {
         }
     }
     assert!(inside > 0 && crossed > 0, "{inside} POIs inside, {crossed} crossed");
+    // The region probes and blocks of every POI the UR leaves open, in
+    // all: pinned, as is the split into inside and crossed POIs.
+    assert_eq!(
+        (inside, crossed, work),
+        (18, 11, (2479, 1551)),
+        "(inside, crossed, (probes, blocks))"
+    );
 }
 
 /// `Polygon::contains_fast` on an axis rectangle is the half-open box
