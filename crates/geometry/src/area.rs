@@ -1,35 +1,46 @@
-//! Deterministic adaptive-grid area integration.
+//! Deterministic adaptive-grid integration over a POI.
 //!
 //! The paper's presence measure (Definition 1) needs
 //! `area(UR(o) ∩ p)` where `UR(o)` is a composite of circles, rings, and
 //! extended ellipses clipped by indoor topology — no closed form exists.
-//! This module integrates the membership indicator on a regular grid over
-//! the intersection of bounding boxes, super-sampling cells that straddle a
-//! boundary. The scheme is fully deterministic (identical inputs give
-//! identical areas), which keeps query results reproducible and lets the
-//! top-k algorithms compare flows exactly.
+//! Long-visit dwell needs `∫ f dA` over `p` of a bounded scalar [`Field`],
+//! an object's time spent at each point. Both are integrated on the same
+//! regular `res.base × res.base` cell grid over the intersection of
+//! bounding boxes, fully deterministically (identical inputs give
+//! identical `f64`s), which keeps query results reproducible and lets
+//! the top-k algorithms compare flows exactly.
 //!
-//! The grid is walked as a quadtree over cell-index blocks. The integrand
-//! has two factors, the polygon and the region, and each classifies
-//! blocks on its own ([`Region::classify`]). What a verdict proves stays
-//! proven below the block: a factor proven in is neither classified nor
-//! tested again there, and a region made of parts hands down the parts
-//! still open ([`Region::classify_live`]), so that sub-blocks classify
-//! and probes test only those. A block both factors prove in, or either
-//! proves out, gets each cell's full or zero value without a single
-//! probe. Once the region is proven over a block, an axis-rectangle
-//! polygon judges the block inset by its padding, so blocks along the
-//! POI's own edges settle too, each cell taking the value the per-cell
-//! rule gives it there ([`Polygon::contains_fast`] is half-open). Only the
-//! cells no bound settles are probed, at exactly the points a plain
-//! per-cell pass would probe. Per-cell values are summed in row-major
-//! order, so the result is the same `f64`, bit for bit, as probing every
-//! cell.
+//! One walker does both. It lays the lattice over the window, pads every
+//! block it bounds by `1e-9` of the coordinates' scale, walks the grid as
+//! a quadtree over cell-index blocks, counts each block and the probes
+//! below it ([`integration_blocks`], [`integration_probes`]), and sums a
+//! block's quadrants in a fixed order. A *leaf rule* decides which blocks
+//! their bounds settle, what a settled block is worth, what an unsettled
+//! cell is worth, and what a block proves for the blocks below it. There
+//! are two, each monomorphised into its entry points:
 //!
-//! [`field_in_polygon`] walks the same quadtree for a bounded scalar
-//! [`Field`] instead of an indicator: a block whose bounds are close
-//! enough is priced at their midpoint, and an unsettled cell at its
-//! centre value.
+//! * **Indicator** ([`area_in_polygon`], [`area_of_region`],
+//!   [`area_in_window`]). The integrand has two factors, the polygon and
+//!   the region, and each classifies blocks on its own
+//!   ([`Region::classify`]). What a verdict proves stays proven below the
+//!   block: a factor proven in is neither classified nor tested again
+//!   there, and a region made of parts hands down the parts still open
+//!   ([`Region::classify_live`]), so that sub-blocks classify and probes
+//!   test only those. A block both factors prove in, or either proves
+//!   out, gets each cell's full or zero value without a single probe.
+//!   Once the region is proven over a block, an axis-rectangle polygon
+//!   judges the block inset by its padding, so blocks along the POI's own
+//!   edges settle too, each cell taking the value the per-cell rule gives
+//!   it there ([`Polygon::contains_fast`] is half-open). Only the cells no
+//!   bound settles are probed, at exactly the points a plain per-cell pass
+//!   would probe: four memoised lattice corners and the centre, and
+//!   super-samples where they disagree. Per-cell values are summed in
+//!   row-major order, so the result is the same `f64`, bit for bit, as
+//!   probing every cell.
+//! * **Field** ([`field_in_polygon`]). The polygon judges each block inset
+//!   by the padding; the field bounds it ([`FieldBounds`]), and a block
+//!   both prove in whose bounds are close enough is priced at their
+//!   midpoint. An unsettled cell takes its centre value.
 
 use crate::mbr::Mbr;
 use crate::point::Point;
@@ -61,8 +72,8 @@ pub fn integration_probes() -> u64 {
     PROBES.with(|c| c.get())
 }
 
-/// Monotonic per-thread count of quadtree blocks both grid integrators
-/// classified, the whole grid of each integration included: the work
+/// Monotonic per-thread count of quadtree blocks the grid walker bounded,
+/// under either leaf rule, the whole grid of each integration included: the work
 /// of settling the grid, where [`integration_probes`] counts the work
 /// below it. A POI a proven region holds whole costs one block.
 ///
@@ -70,12 +81,6 @@ pub fn integration_probes() -> u64 {
 /// Wraps on overflow (never in practice).
 pub fn integration_blocks() -> u64 {
     BLOCKS.with(|c| c.get())
-}
-
-/// Adds one integration's work to the per-thread counters.
-fn count(probes: u64, blocks: u64) {
-    PROBES.with(|c| c.set(c.get().wrapping_add(probes)));
-    BLOCKS.with(|c| c.set(c.get().wrapping_add(blocks)));
 }
 
 /// Grid resolution parameters for the integrator.
@@ -120,7 +125,7 @@ pub fn area_in_polygon(
     res: GridResolution,
 ) -> f64 {
     let window = region.mbr().intersection(&polygon.mbr());
-    integrate(Some(polygon), region, window, res)
+    indicator(Some(polygon), region, window, res)
 }
 
 /// Area of the region itself, integrated over its own MBR.
@@ -131,7 +136,7 @@ pub fn area_of_region(region: &(impl Region + ?Sized), res: GridResolution) -> f
 /// Area of `region` restricted to an explicit window rectangle.
 pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridResolution) -> f64 {
     let window = region.mbr().intersection(&window);
-    integrate(None, region, window, res)
+    indicator(None, region, window, res)
 }
 
 /// What a [`Field`] proves over a block.
@@ -180,6 +185,48 @@ pub fn field_in_polygon(
     tol: f64,
 ) -> f64 {
     let window = field.mbr().intersection(&polygon.mbr());
+    walk_grid(window, res, &mut FieldRule { field, polygon, tol }, false)
+}
+
+/// The cells `[i0, i1) × [j0, j1)` of the grid.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    i0: usize,
+    i1: usize,
+    j0: usize,
+    j1: usize,
+}
+
+/// One integration's lattice and the work it spent.
+struct Grid {
+    origin: Point,
+    n: usize,
+    dx: f64,
+    dy: f64,
+    /// Outward padding of every bounded block, so that rounding in the
+    /// sample coordinates can never put a sample outside its block.
+    pad: f64,
+    cell_area: f64,
+    probes: u64,
+    blocks: u64,
+}
+
+/// What one integrand makes of the walk: which blocks their bounds
+/// settle, and what a cell no bound settles is worth. `Proof` is what a
+/// block proved for everything below it.
+trait Rule {
+    type Proof: Copy;
+    /// The block's value when its bounds settle it, else the proof its
+    /// quadrants inherit.
+    fn settle(&mut self, g: &Grid, b: Block, above: Self::Proof) -> Result<f64, Self::Proof>;
+    /// The value of the unsettled cell `(i, j)`.
+    fn cell(&mut self, g: &mut Grid, i: usize, j: usize, proof: Self::Proof) -> f64;
+}
+
+/// Walks `rule` over the `res.base × res.base` grid of `window`, adds
+/// the work to the per-thread counters and returns the walk's sum; zero
+/// for an empty or degenerate window.
+fn walk_grid<R: Rule>(window: Mbr, res: GridResolution, rule: &mut R, top: R::Proof) -> f64 {
     if window.is_empty() || window.width() <= 0.0 || window.height() <= 0.0 {
         return 0.0;
     }
@@ -187,39 +234,23 @@ pub fn field_in_polygon(
     let (dx, dy) = (window.width() / n as f64, window.height() / n as f64);
     let scale = 1.0
         + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
-    let mut grid = FieldGrid {
-        field,
-        polygon,
+    let mut g = Grid {
         origin: window.lo,
+        n,
         dx,
         dy,
         pad: 1e-9 * scale,
         cell_area: dx * dy,
-        tol,
         probes: 0,
         blocks: 0,
     };
-    let total = grid.block(0, n, 0, n, false);
-    count(grid.probes, grid.blocks);
+    let total = g.walk(rule, Block { i0: 0, i1: n, j0: 0, j1: n }, top);
+    PROBES.with(|c| c.set(c.get().wrapping_add(g.probes)));
+    BLOCKS.with(|c| c.set(c.get().wrapping_add(g.blocks)));
     total
 }
 
-/// One field integration: the grid geometry and the work spent.
-struct FieldGrid<'a, F: ?Sized> {
-    field: &'a F,
-    polygon: &'a Polygon,
-    origin: Point,
-    dx: f64,
-    dy: f64,
-    /// Outward padding of every bounded block, as in `Grid`.
-    pad: f64,
-    cell_area: f64,
-    tol: f64,
-    probes: u64,
-    blocks: u64,
-}
-
-impl<F: Field + ?Sized> FieldGrid<'_, F> {
+impl Grid {
     fn x(&self, i: usize) -> f64 {
         self.origin.x + self.dx * i as f64
     }
@@ -228,43 +259,29 @@ impl<F: Field + ?Sized> FieldGrid<'_, F> {
         self.origin.y + self.dy * j as f64
     }
 
-    /// The integral over the cells `[i0, i1) × [j0, j1)`; `in_polygon`
-    /// when a block above proved the polygon in.
-    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, in_polygon: bool) -> f64 {
+    fn centre(&self, i: usize, j: usize) -> Point {
+        Point::new(self.x(i) + 0.5 * self.dx, self.y(j) + 0.5 * self.dy)
+    }
+
+    /// Block `b` grown by `by` on every side (shrunk for negative `by`).
+    fn bounds(&self, b: Block, by: f64) -> Mbr {
+        Mbr::from_bounds(
+            Point::new(self.x(b.i0) - by, self.y(b.j0) - by),
+            Point::new(self.x(b.i1) + by, self.y(b.j1) + by),
+        )
+    }
+
+    /// The integral over block `b`: its settled value, its single cell's,
+    /// or the sum of its quadrants, which inherit the block's proof.
+    fn walk<R: Rule>(&mut self, rule: &mut R, b: Block, above: R::Proof) -> f64 {
         self.blocks += 1;
-        let b = Mbr::from_bounds(
-            Point::new(self.x(i0) - self.pad, self.y(j0) - self.pad),
-            Point::new(self.x(i1) + self.pad, self.y(j1) + self.pad),
-        );
-        // The polygon judges the block inset by the padding instead: the
-        // window's edge is an axis-rectangle POI's own edge, and no block
-        // along it could ever be proven inside otherwise. What this gives
-        // up is a sliver `pad` wide.
-        let inset = Mbr::from_bounds(
-            Point::new(self.x(i0) + self.pad, self.y(j0) + self.pad),
-            Point::new(self.x(i1) - self.pad, self.y(j1) - self.pad),
-        );
-        let in_polygon = in_polygon
-            || match self.polygon.classify(&inset) {
-                Some(false) => return 0.0,
-                Some(true) => true,
-                None => false,
-            };
-        let FieldBounds { support, lo, hi } = self.field.bounds(&b);
-        if support == Some(false) || hi <= 0.0 {
-            return 0.0;
-        }
-        let cells = ((i1 - i0) * (j1 - j0)) as f64;
-        if in_polygon && support == Some(true) && hi - lo <= self.tol {
-            return 0.5 * (lo + hi) * cells * self.cell_area;
-        }
+        let proof = match rule.settle(self, b, above) {
+            Ok(value) => return value,
+            Err(proof) => proof,
+        };
+        let Block { i0, i1, j0, j1 } = b;
         if i1 - i0 == 1 && j1 - j0 == 1 {
-            let p = Point::new(self.x(i0) + 0.5 * self.dx, self.y(j0) + 0.5 * self.dy);
-            if !in_polygon && !self.polygon.contains_fast(p) {
-                return 0.0;
-            }
-            self.probes += 1;
-            return self.field.value(p) * self.cell_area;
+            return rule.cell(self, i0, j0, proof);
         }
         let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
         let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
@@ -272,11 +289,55 @@ impl<F: Field + ?Sized> FieldGrid<'_, F> {
         for (ja, jb) in [(j0, jm), (jm, j1)] {
             for (ia, ib) in [(i0, im), (im, i1)] {
                 if ia < ib && ja < jb {
-                    total += self.block(ia, ib, ja, jb, in_polygon);
+                    total += self.walk(rule, Block { i0: ia, i1: ib, j0: ja, j1: jb }, proof);
                 }
             }
         }
         total
+    }
+}
+
+/// The field rule: inset polygon verdicts, support and bound-midpoint
+/// settling, centre values. Its proof is whether the polygon holds the
+/// block.
+struct FieldRule<'a, F: ?Sized> {
+    field: &'a F,
+    polygon: &'a Polygon,
+    tol: f64,
+}
+
+impl<F: Field + ?Sized> Rule for FieldRule<'_, F> {
+    type Proof = bool;
+
+    fn settle(&mut self, g: &Grid, b: Block, in_polygon: bool) -> Result<f64, bool> {
+        // The polygon judges the block inset by the padding: the window's
+        // edge is an axis-rectangle POI's own edge, and no block along it
+        // could ever be proven inside otherwise. What this gives up is a
+        // sliver `pad` wide.
+        let in_polygon = in_polygon
+            || match self.polygon.classify(&g.bounds(b, -g.pad)) {
+                Some(false) => return Ok(0.0),
+                Some(true) => true,
+                None => false,
+            };
+        let FieldBounds { support, lo, hi } = self.field.bounds(&g.bounds(b, g.pad));
+        if support == Some(false) || hi <= 0.0 {
+            return Ok(0.0);
+        }
+        if in_polygon && support == Some(true) && hi - lo <= self.tol {
+            let cells = ((b.i1 - b.i0) * (b.j1 - b.j0)) as f64;
+            return Ok(0.5 * (lo + hi) * cells * g.cell_area);
+        }
+        Err(in_polygon)
+    }
+
+    fn cell(&mut self, g: &mut Grid, i: usize, j: usize, in_polygon: bool) -> f64 {
+        let p = g.centre(i, j);
+        if !in_polygon && !self.polygon.contains_fast(p) {
+            return 0.0;
+        }
+        g.probes += 1;
+        self.field.value(p) * g.cell_area
     }
 }
 
@@ -290,257 +351,199 @@ struct Proven {
     region: Option<Live>,
 }
 
-/// What the verdicts settle for one block.
-enum Block {
-    Out,
-    In,
-    /// In up to the window's top and right lattice lines, which the
-    /// polygon test may reject ([`Grid::settles_to_edge`]).
-    InToEdge,
-    Open(Proven),
-}
-
-/// One integration: the grid geometry, the memoised corner lattice and
-/// the per-cell values, filled block by block.
-struct Grid<'a, R: ?Sized> {
+/// The indicator rule: the memoised corner lattice and the per-cell
+/// values, filled block by block and summed row-major at the end.
+struct Indicator<'a, R: ?Sized> {
     /// The POI polygon; `None` integrates the region alone.
     polygon: Option<&'a Polygon>,
     region: &'a R,
-    origin: Point,
-    n: usize,
-    dx: f64,
-    dy: f64,
-    /// Outward padding of every classified block, so that rounding in the
-    /// sample coordinates can never put a probe outside its block.
-    pad: f64,
     supersample: usize,
-    cell_area: f64,
-    /// Whether cells are wide enough, against the padding, for an
-    /// axis-rectangle polygon to settle blocks along its edges.
-    inset: bool,
     /// Memoised corner-lattice memberships of the whole integrand, `None`
     /// until probed.
     corners: Vec<Option<bool>>,
+    /// Empty until the top block is left open.
     cells: Vec<f64>,
-    probes: u64,
-    blocks: u64,
 }
 
-fn integrate<R: Region + ?Sized>(
+fn indicator<R: Region + ?Sized>(
     polygon: Option<&Polygon>,
     region: &R,
     window: Mbr,
     res: GridResolution,
 ) -> f64 {
-    if window.is_empty() {
-        return 0.0;
-    }
-    let w = window.width();
-    let h = window.height();
-    if w <= 0.0 || h <= 0.0 {
-        return 0.0;
-    }
-    let n = res.base;
-    let dx = w / n as f64;
-    let dy = h / n as f64;
-    let scale = 1.0
-        + window.lo.x.abs().max(window.lo.y.abs()).max(window.hi.x.abs()).max(window.hi.y.abs());
-    let pad = 1e-9 * scale;
-    let s = res.supersample;
-    let mut grid = Grid {
+    let mut rule = Indicator {
         polygon,
         region,
-        origin: window.lo,
-        n,
-        dx,
-        dy,
-        pad,
-        supersample: s,
-        cell_area: dx * dy,
-        inset: dx > 4.0 * s as f64 * pad && dy > 4.0 * s as f64 * pad,
+        supersample: res.supersample,
         corners: Vec::new(),
         cells: Vec::new(),
-        probes: 0,
-        blocks: 0,
     };
-    let area = grid.area();
-    count(grid.probes, grid.blocks);
-    area
+    let top = Proven { polygon: polygon.is_none(), region: Some(Live::ALL) };
+    let settled = walk_grid(window, res, &mut rule, top);
+    if rule.cells.is_empty() {
+        return settled;
+    }
+    // Row-major, the order of a plain per-cell pass. Every value is +0.0
+    // or positive, so skipping the zero cells leaves the sum unchanged.
+    rule.cells.iter().filter(|&&v| v != 0.0).fold(0.0, |total, &v| total + v)
 }
 
-impl<R: Region + ?Sized> Grid<'_, R> {
-    fn x(&self, i: usize) -> f64 {
-        self.origin.x + self.dx * i as f64
-    }
+impl<R: Region + ?Sized> Rule for Indicator<'_, R> {
+    type Proof = Proven;
 
-    fn y(&self, j: usize) -> f64 {
-        self.origin.y + self.dy * j as f64
-    }
-
-    /// The whole integral. The top block is settled before anything is
-    /// allocated: a settled grid is the row-major sum of its n² cell
-    /// values, the same additions the cell vector would take.
-    fn area(&mut self) -> f64 {
-        let n = self.n;
-        let all = Proven { polygon: self.polygon.is_none(), region: Some(Live::ALL) };
-        let proven = match self.classify(0, n, 0, n, all) {
-            Block::Out => return 0.0,
-            Block::In => return (0..n * n).fold(0.0, |total, _| total + self.cell_area),
-            Block::InToEdge => {
-                let rim = self.rim(0, n, 0, n);
-                return (0..n * n).fold(0.0, |total, k| total + self.edge_cell(k % n, k / n, rim));
-            }
-            Block::Open(proven) => proven,
-        };
-        self.corners = vec![None; (n + 1) * (n + 1)];
-        self.cells = vec![0.0; n * n];
-        self.descend(0, n, 0, n, proven);
-        // Row-major, the order of a plain per-cell pass. Every value is
-        // +0.0 or positive, so skipping the zero cells leaves the sum
-        // unchanged.
-        self.cells.iter().filter(|&&v| v != 0.0).fold(0.0, |total, &v| total + v)
-    }
-
-    /// The block `[i0, i1) × [j0, j1)` grown by `by` on every side
-    /// (shrunk for negative `by`).
-    fn bounds(&self, i0: usize, i1: usize, j0: usize, j1: usize, by: f64) -> Mbr {
-        Mbr::from_bounds(
-            Point::new(self.x(i0) - by, self.y(j0) - by),
-            Point::new(self.x(i1) + by, self.y(j1) + by),
-        )
-    }
-
-    /// Classifies the padded block `[i0, i1) × [j0, j1)` by each factor
-    /// not already proven: out as soon as one factor is, in once both are.
-    fn classify(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) -> Block {
-        self.blocks += 1;
-        let b = self.bounds(i0, i1, j0, j1, self.pad);
+    /// Classifies the padded block by each factor not already proven: out
+    /// as soon as one factor is, in once both are. The top block is
+    /// settled before anything is allocated.
+    fn settle(&mut self, g: &Grid, b: Block, above: Proven) -> Result<f64, Proven> {
+        let m = g.bounds(b, g.pad);
         // The polygon goes first: its test is far cheaper than a composite
         // (possibly topology-constrained) region's. Its verdicts hold for
         // `contains_fast` too (see `Polygon`'s `classify`).
         let mut polygon = above.polygon;
         if let (false, Some(poly)) = (polygon, self.polygon) {
-            match poly.classify(&b) {
-                Some(false) => return Block::Out,
+            match poly.classify(&m) {
+                Some(false) => return Ok(0.0),
                 Some(true) => polygon = true,
                 None => {}
             }
         }
         let region = match above.region {
             None => None,
-            Some(live) => match self.region.classify_live(&b, live) {
-                Verdict::Out => return Block::Out,
+            Some(live) => match self.region.classify_live(&m, live) {
+                Verdict::Out => return Ok(0.0),
                 Verdict::In => None,
                 Verdict::Open(live) => Some(live),
             },
         };
-        match (polygon, region) {
-            (true, None) => Block::In,
-            (false, None) if self.settles_to_edge(i0, i1, j0, j1) => Block::InToEdge,
-            _ => Block::Open(Proven { polygon, region }),
-        }
+        let rim = match (polygon, region) {
+            (true, None) => (false, false),
+            (false, None) if self.settles_to_edge(g, b) => self.rim(g, b),
+            _ => {
+                if self.cells.is_empty() {
+                    self.corners = vec![None; (g.n + 1) * (g.n + 1)];
+                    self.cells = vec![0.0; g.n * g.n];
+                }
+                return Err(Proven { polygon, region });
+            }
+        };
+        Ok(self.fill(g, b, rim))
     }
 
-    /// Whether an axis-rectangle polygon holds the block inset by the
+    /// One unsettled cell: whole when its four corners and centre agree,
+    /// else super-sampled at sub-cell centres.
+    fn cell(&mut self, g: &mut Grid, i: usize, j: usize, proven: Proven) -> f64 {
+        let c00 = self.corner(g, i, j, proven);
+        let c10 = self.corner(g, i + 1, j, proven);
+        let c01 = self.corner(g, i, j + 1, proven);
+        let c11 = self.corner(g, i + 1, j + 1, proven);
+        // Corners that disagree already make this a boundary cell; the
+        // centre could not change that, so it is only probed when they
+        // agree. A uniform cell could still hide a thin feature; the base
+        // resolution is chosen so features of interest span several cells.
+        if c00 == c10 && c00 == c01 && c00 == c11 && self.inside(g, g.centre(i, j), proven) == c00 {
+            if c00 {
+                self.cells[j * g.n + i] = g.cell_area;
+            }
+            return 0.0;
+        }
+        let s = self.supersample;
+        let (x0, y0) = (g.x(i), g.y(j));
+        let mut hits = 0usize;
+        for sj in 0..s {
+            let y = y0 + g.dy * (sj as f64 + 0.5) / s as f64;
+            for si in 0..s {
+                let x = x0 + g.dx * (si as f64 + 0.5) / s as f64;
+                if self.inside(g, Point::new(x, y), proven) {
+                    hits += 1;
+                }
+            }
+        }
+        self.cells[j * g.n + i] = hits as f64 * (g.cell_area / (s * s) as f64);
+        0.0
+    }
+}
+
+impl<R: Region + ?Sized> Indicator<'_, R> {
+    /// Gives block `b`'s cells [`Indicator::edge_cell`]'s values: written
+    /// to the cell vector, or, for the top block, summed row-major, the
+    /// same additions the cell vector would take.
+    fn fill(&mut self, g: &Grid, b: Block, rim: (bool, bool)) -> f64 {
+        let mut total = 0.0;
+        for j in b.j0..b.j1 {
+            for i in b.i0..b.i1 {
+                let v = self.edge_cell(g, i, j, rim);
+                match self.cells.get_mut(j * g.n + i) {
+                    Some(cell) => *cell = v,
+                    None => total += v,
+                }
+            }
+        }
+        total
+    }
+
+    /// Whether an axis-rectangle polygon holds block `b` inset by the
     /// padding, for a block the region is proven over. Such a block is
-    /// settled with [`Grid::edge_cell`]'s values, which are the per-cell
-    /// rule's, because `contains_fast` on an axis rectangle `[L, H]` is
-    /// exactly `L ≤ q < H` on both axes (the ray cast counts a vertical
-    /// edge at `x` only for `q.x < x`, and only for `L.y ≤ q.y < H.y`):
+    /// settled with [`Indicator::edge_cell`]'s values, which are the
+    /// per-cell rule's, because `contains_fast` on an axis rectangle
+    /// `[L, H]` is exactly `L ≤ q < H` on both axes (the ray cast counts a
+    /// vertical edge at `x` only for `q.x < x`, and only for
+    /// `L.y ≤ q.y < H.y`):
     ///
     /// * every sample lies at or above the window's low corner, and the
     ///   window lies in the polygon's MBR, so no sample fails `L ≤ q`;
-    /// * `inset` makes cells more than `4·s` paddings wide, while
-    ///   rounding moves samples by far less than a padding. Every centre
-    ///   and super-sample of the block then lies more than a padding
-    ///   below its top and right sides, which the inset verdict puts
-    ///   below `H`; and every lattice line below the window's last is a
-    ///   whole cell below that last line, which lies within rounding of
-    ///   `H`. So only a corner on the window's top or right lattice line
-    ///   can fail `q < H`.
-    fn settles_to_edge(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> bool {
+    /// * cells must be more than `4·s` paddings wide, while rounding
+    ///   moves samples by far less than a padding. Every centre and
+    ///   super-sample of the block then lies more than a padding below
+    ///   its top and right sides, which the inset verdict puts below `H`;
+    ///   and every lattice line below the window's last is a whole cell
+    ///   below that last line, which lies within rounding of `H`. So only
+    ///   a corner on the window's top or right lattice line can fail
+    ///   `q < H`.
+    fn settles_to_edge(&self, g: &Grid, b: Block) -> bool {
+        let wide = 4.0 * self.supersample as f64 * g.pad;
         match self.polygon {
-            Some(poly) if self.inset && poly.is_axis_rectangle() => {
-                poly.classify(&self.bounds(i0, i1, j0, j1, -self.pad)) == Some(true)
+            Some(poly) if g.dx > wide && g.dy > wide && poly.is_axis_rectangle() => {
+                poly.classify(&g.bounds(b, -g.pad)) == Some(true)
             }
             _ => false,
         }
     }
 
     /// Whether the window's right and top lattice lines fail the polygon
-    /// test where the block `[i0, i1) × [j0, j1)` reaches them. A corner
-    /// there fails on its own axis alone (see [`Grid::settles_to_edge`]),
-    /// so one corner speaks for the whole line.
-    fn rim(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> (bool, bool) {
+    /// test where block `b` reaches them. A corner there fails on its own
+    /// axis alone (see [`Indicator::settles_to_edge`]), so one corner
+    /// speaks for the whole line.
+    fn rim(&self, g: &Grid, b: Block) -> (bool, bool) {
         let Some(poly) = self.polygon else { return (false, false) };
-        let n = self.n;
-        let right = i1 == n && !poly.contains_fast(Point::new(self.x(n), self.y(j0)));
-        let top = j1 == n && !poly.contains_fast(Point::new(self.x(i0), self.y(n)));
+        let n = g.n;
+        let right = b.i1 == n && !poly.contains_fast(Point::new(g.x(n), g.y(b.j0)));
+        let top = b.j1 == n && !poly.contains_fast(Point::new(g.x(b.i0), g.y(n)));
         (right, top)
     }
 
-    /// The per-cell rule's value of cell `(i, j)` of a block settled to
-    /// the edge, with `rim` from [`Grid::rim`]. A cell whose four corners
-    /// pass is whole: `cell_area`. A cell with a corner on a failing rim
-    /// line is a boundary cell whose `s²` super-samples all pass:
-    /// `s² · (cell_area / s²)`. The two are equal for `s` = 2 and 4, but
-    /// for `s` = 6 differ by an ulp for some cell areas.
-    fn edge_cell(&self, i: usize, j: usize, rim: (bool, bool)) -> f64 {
-        if (rim.0 && i + 1 == self.n) || (rim.1 && j + 1 == self.n) {
+    /// The per-cell rule's value of cell `(i, j)` of a settled block, with
+    /// `rim` from [`Indicator::rim`] (no rim for a block both factors
+    /// hold). A cell whose four corners pass is whole: `cell_area`. A cell
+    /// with a corner on a failing rim line is a boundary cell whose `s²`
+    /// super-samples all pass: `s² · (cell_area / s²)`. The two are equal
+    /// for `s` = 2 and 4, but for `s` = 6 differ by an ulp for some cell
+    /// areas.
+    fn edge_cell(&self, g: &Grid, i: usize, j: usize, rim: (bool, bool)) -> f64 {
+        if (rim.0 && i + 1 == g.n) || (rim.1 && j + 1 == g.n) {
             let s2 = self.supersample * self.supersample;
-            s2 as f64 * (self.cell_area / s2 as f64)
+            s2 as f64 * (g.cell_area / s2 as f64)
         } else {
-            self.cell_area
-        }
-    }
-
-    /// Settles the cells `[i0, i1) × [j0, j1)`: whole when the block
-    /// classifies, else as an open block.
-    fn block(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, above: Proven) {
-        let n = self.n;
-        match self.classify(i0, i1, j0, j1, above) {
-            Block::In => {
-                for j in j0..j1 {
-                    self.cells[j * n + i0..j * n + i1].fill(self.cell_area);
-                }
-            }
-            Block::InToEdge => {
-                let rim = self.rim(i0, i1, j0, j1);
-                for j in j0..j1 {
-                    for i in i0..i1 {
-                        self.cells[j * n + i] = self.edge_cell(i, j, rim);
-                    }
-                }
-            }
-            Block::Out => {}
-            Block::Open(proven) => self.descend(i0, i1, j0, j1, proven),
-        }
-    }
-
-    /// A block its verdicts leave open: probed when it is a single cell,
-    /// else split into quadrants that inherit `proven`.
-    fn descend(&mut self, i0: usize, i1: usize, j0: usize, j1: usize, proven: Proven) {
-        if i1 - i0 == 1 && j1 - j0 == 1 {
-            return self.leaf(i0, j0, proven);
-        }
-        let im = if i1 - i0 > 1 { (i0 + i1) / 2 } else { i1 };
-        let jm = if j1 - j0 > 1 { (j0 + j1) / 2 } else { j1 };
-        for (ja, jb) in [(j0, jm), (jm, j1)] {
-            for (ia, ib) in [(i0, im), (im, i1)] {
-                if ia < ib && ja < jb {
-                    self.block(ia, ib, ja, jb, proven);
-                }
-            }
+            g.cell_area
         }
     }
 
     /// The integrand at `p`, a point of a block where `proven` holds:
     /// only the factors and region parts not yet proven are tested, the
     /// cheap polygon first, and only region tests count as probes.
-    fn inside(&mut self, p: Point, proven: Proven) -> bool {
+    fn inside(&self, g: &mut Grid, p: Point, proven: Proven) -> bool {
         (proven.polygon || self.polygon.is_none_or(|poly| poly.contains_fast(p)))
             && proven.region.is_none_or(|live| {
-                self.probes += 1;
+                g.probes += 1;
                 self.region.contains_live(p, live)
             })
     }
@@ -548,53 +551,14 @@ impl<R: Region + ?Sized> Grid<'_, R> {
     /// Membership of lattice corner `(i, j)`, probed at most once. A
     /// proven factor or region part holds at the corner, so the memoised
     /// value is the whole integrand's whichever block probed it.
-    fn corner(&mut self, i: usize, j: usize, proven: Proven) -> bool {
-        let k = j * (self.n + 1) + i;
+    fn corner(&mut self, g: &mut Grid, i: usize, j: usize, proven: Proven) -> bool {
+        let k = j * (g.n + 1) + i;
         if let Some(v) = self.corners[k] {
             return v;
         }
-        let v = self.inside(Point::new(self.x(i), self.y(j)), proven);
+        let v = self.inside(g, Point::new(g.x(i), g.y(j)), proven);
         self.corners[k] = Some(v);
         v
-    }
-
-    /// One unsettled cell: whole when its four corners and centre agree,
-    /// else super-sampled at sub-cell centres.
-    fn leaf(&mut self, i: usize, j: usize, proven: Proven) {
-        let c00 = self.corner(i, j, proven);
-        let c10 = self.corner(i + 1, j, proven);
-        let c01 = self.corner(i, j + 1, proven);
-        let c11 = self.corner(i + 1, j + 1, proven);
-        let (dx, dy) = (self.dx, self.dy);
-        let x0 = self.x(i);
-        let y0 = self.y(j);
-        // Corners that disagree already make this a boundary cell; the
-        // centre could not change that, so it is only probed when they
-        // agree. A uniform cell could still hide a thin feature; the base
-        // resolution is chosen so features of interest span several cells.
-        if c00 == c10
-            && c00 == c01
-            && c00 == c11
-            && self.inside(Point::new(x0 + 0.5 * dx, y0 + 0.5 * dy), proven) == c00
-        {
-            if c00 {
-                self.cells[j * self.n + i] = self.cell_area;
-            }
-            return;
-        }
-        let s = self.supersample;
-        let mut hits = 0usize;
-        for sj in 0..s {
-            let y = y0 + dy * (sj as f64 + 0.5) / s as f64;
-            for si in 0..s {
-                let x = x0 + dx * (si as f64 + 0.5) / s as f64;
-                if self.inside(Point::new(x, y), proven) {
-                    hits += 1;
-                }
-            }
-        }
-        let sub_area = self.cell_area / (s * s) as f64;
-        self.cells[j * self.n + i] = hits as f64 * sub_area;
     }
 }
 
