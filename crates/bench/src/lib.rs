@@ -18,6 +18,7 @@
 use inflow_core::{DistribQuery, FlowAnalytics, IntervalQuery, SnapshotQuery};
 use inflow_geometry::GridResolution;
 use inflow_indoor::PoiId;
+use inflow_tracking::RawReading;
 use inflow_uncertainty::UrConfig;
 use inflow_workload::{generate_cph, generate_synthetic, CphConfig, SyntheticConfig, Workload};
 use std::time::Instant;
@@ -909,6 +910,20 @@ pub fn abl_distrib(scale: &Scale) -> Series {
     }
 }
 
+/// The endpoint-expanded reading stream `inflow ingest` consumes: each
+/// record's start and, when later, its end, in time order.
+fn reading_stream(w: &Workload) -> Vec<RawReading> {
+    let mut readings: Vec<RawReading> = Vec::with_capacity(w.ott.len() * 2);
+    for r in w.ott.records() {
+        readings.push(RawReading { object: r.object, device: r.device, t: r.ts });
+        if r.te > r.ts {
+            readings.push(RawReading { object: r.object, device: r.device, t: r.te });
+        }
+    }
+    readings.sort_by(|a, b| a.t.total_cmp(&b.t).then_with(|| a.object.cmp(&b.object)));
+    readings
+}
+
 /// One sustained-ingest run against an in-process
 /// [`inflow_service::Server`]: one ε = 0 snapshot subscription, the
 /// whole endpoint-expanded reading stream published over TCP. `trace`
@@ -937,22 +952,13 @@ fn serve_run_spec(
     make_kind: impl Fn(f64) -> inflow_service::SubKind,
 ) -> (f64, f64) {
     use inflow_service::{Client, ServeConfig, Server, SubSpec};
-    use inflow_tracking::RawReading;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static RUN: AtomicUsize = AtomicUsize::new(0);
     let mut cfg = base_synthetic(scale);
     cfg.num_objects = num_objects.max(1);
     let w = generate_synthetic(&cfg);
-    // The same endpoint-expanded stream `inflow ingest` consumes.
-    let mut readings: Vec<RawReading> = Vec::with_capacity(w.ott.len() * 2);
-    for r in w.ott.records() {
-        readings.push(RawReading { object: r.object, device: r.device, t: r.ts });
-        if r.te > r.ts {
-            readings.push(RawReading { object: r.object, device: r.device, t: r.te });
-        }
-    }
-    readings.sort_by(|a, b| a.t.total_cmp(&b.t).then_with(|| a.object.cmp(&b.object)));
+    let readings = reading_stream(&w);
 
     let dir = std::env::temp_dir().join(format!(
         "inflow-bench-serve-{}-{}",
@@ -977,9 +983,7 @@ fn serve_run_spec(
     client.barrier().expect("bench barrier");
 
     let t0 = Instant::now();
-    for batch in readings.chunks(256) {
-        client.publish(batch).expect("bench publish");
-    }
+    publish_all(&mut client, &readings);
     client.barrier().expect("bench drain barrier");
     let elapsed = t0.elapsed().as_secs_f64();
     let throughput = readings.len() as f64 / elapsed.max(1e-9);
@@ -989,6 +993,23 @@ fn serve_run_spec(
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
     (throughput, notify_p99_ms)
+}
+
+/// Publishes `readings` in 256-reading chunks, open loop. A chunk the
+/// server refuses as overloaded is published again after a BARRIER has
+/// drained the shard queues, so every reading is applied; a run that
+/// never overloads sends exactly the open loop's requests.
+fn publish_all(client: &mut inflow_service::Client, readings: &[RawReading]) {
+    for batch in readings.chunks(256) {
+        while let Err(e) = client.publish(batch) {
+            match e {
+                inflow_service::ServiceError::Overloaded { .. } => {
+                    client.barrier().expect("bench overload barrier")
+                }
+                e => panic!("bench publish: {e:?}"),
+            }
+        }
+    }
 }
 
 /// Sustained server throughput and tail notification latency vs object
@@ -1048,7 +1069,6 @@ pub fn bench6_json(scale: &Scale) -> String {
 fn record_overhead_run(scale: &Scale, recorded: bool) -> (f64, f64) {
     use inflow_replay::{record_run, FaultPlan, RecordOptions};
     use inflow_service::{Client, ServeConfig, Server, SubKind, SubSpec};
-    use inflow_tracking::RawReading;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const CHUNK: usize = 256;
@@ -1058,14 +1078,7 @@ fn record_overhead_run(scale: &Scale, recorded: bool) -> (f64, f64) {
     let mut cfg = base_synthetic(scale);
     cfg.num_objects = scale.objects.max(1);
     let w = generate_synthetic(&cfg);
-    let mut readings: Vec<RawReading> = Vec::with_capacity(w.ott.len() * 2);
-    for r in w.ott.records() {
-        readings.push(RawReading { object: r.object, device: r.device, t: r.ts });
-        if r.te > r.ts {
-            readings.push(RawReading { object: r.object, device: r.device, t: r.te });
-        }
-    }
-    readings.sort_by(|a, b| a.t.total_cmp(&b.t).then_with(|| a.object.cmp(&b.object)));
+    let readings = reading_stream(&w);
 
     let dir = std::env::temp_dir().join(format!(
         "inflow-bench-record-{}-{}",
@@ -1214,7 +1227,7 @@ fn tier_ingest_run(
 /// the store layer, where the reopen paths differ: snapshot + full WAL
 /// tail (baseline) vs manifest + segments + rebased tail (tiered).
 pub fn bench8_json(scale: &Scale) -> String {
-    use inflow_tracking::{RawReading, StoreOptions};
+    use inflow_tracking::StoreOptions;
 
     // Best-of-2 minimum even at smoke scale: a single ~100 ms serve run
     // has enough timer noise to swamp a 5% gate.
@@ -1239,14 +1252,7 @@ pub fn bench8_json(scale: &Scale) -> String {
     let mut cfg = base_synthetic(scale);
     cfg.num_objects = scale.objects.max(1);
     let w = generate_synthetic(&cfg);
-    let mut readings: Vec<RawReading> = Vec::with_capacity(w.ott.len() * 2);
-    for r in w.ott.records() {
-        readings.push(RawReading { object: r.object, device: r.device, t: r.ts });
-        if r.te > r.ts {
-            readings.push(RawReading { object: r.object, device: r.device, t: r.te });
-        }
-    }
-    readings.sort_by(|a, b| a.t.total_cmp(&b.t).then_with(|| a.object.cmp(&b.object)));
+    let readings = reading_stream(&w);
     let base_opts = StoreOptions {
         snapshot_every: Some(4096),
         sync_each_reading: false,
@@ -1429,6 +1435,41 @@ mod tests {
         assert!(!a.is_empty());
         let larger = poi_subset(&fa, 100, 0);
         assert!(larger.len() >= a.len());
+    }
+
+    /// With an admission bound far below an open-loop run's backlog the
+    /// server refuses chunks as overloaded; the publish loop republishes
+    /// each one after a barrier, so every reading is applied.
+    #[test]
+    fn publish_loop_applies_every_reading_through_overloads() {
+        use inflow_obs::Counter;
+        use inflow_service::{Client, ServeConfig, Server};
+        let w = generate_synthetic(&base_synthetic(&Scale::smoke()));
+        let readings = reading_stream(&w);
+        let dir =
+            std::env::temp_dir().join(format!("inflow-bench-overload-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            shards: 2,
+            max_queue: 64,
+            sync_each_reading: false,
+            ur: UrConfig { vmax: w.vmax, ..UrConfig::default() },
+            ..ServeConfig::new(dir.clone())
+        };
+        let handle = Server::start(w.ctx.clone(), cfg).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        publish_all(&mut client, &readings);
+        client.barrier().unwrap();
+        let metrics = handle.metrics();
+        let (applied, overloads) = (
+            metrics.counter(Counter::ServeReadingsApplied),
+            metrics.counter(Counter::ServeOverloads),
+        );
+        client.shutdown_server().unwrap();
+        handle.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(overloads > 0, "the server never refused a chunk");
+        assert_eq!(applied, readings.len() as u64, "{overloads} overloads");
     }
 
     #[test]

@@ -244,7 +244,7 @@ fn walk_grid<R: Rule>(window: Mbr, res: GridResolution, rule: &mut R, top: R::Pr
         probes: 0,
         blocks: 0,
     };
-    let total = g.walk(rule, Block { i0: 0, i1: n, j0: 0, j1: n }, top);
+    let total = g.integral(rule, Block { i0: 0, i1: n, j0: 0, j1: n }, top);
     PROBES.with(|c| c.set(c.get().wrapping_add(g.probes)));
     BLOCKS.with(|c| c.set(c.get().wrapping_add(g.blocks)));
     total
@@ -273,7 +273,7 @@ impl Grid {
 
     /// The integral over block `b`: its settled value, its single cell's,
     /// or the sum of its quadrants, which inherit the block's proof.
-    fn walk<R: Rule>(&mut self, rule: &mut R, b: Block, above: R::Proof) -> f64 {
+    fn integral<R: Rule>(&mut self, rule: &mut R, b: Block, above: R::Proof) -> f64 {
         self.blocks += 1;
         let proof = match rule.settle(self, b, above) {
             Ok(value) => return value,
@@ -289,7 +289,7 @@ impl Grid {
         for (ja, jb) in [(j0, jm), (jm, j1)] {
             for (ia, ib) in [(i0, im), (im, i1)] {
                 if ia < ib && ja < jb {
-                    total += self.walk(rule, Block { i0: ia, i1: ib, j0: ja, j1: jb }, proof);
+                    total += self.integral(rule, Block { i0: ia, i1: ib, j0: ja, j1: jb }, proof);
                 }
             }
         }

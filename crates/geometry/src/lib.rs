@@ -12,11 +12,12 @@
 //!   and point-containment tests;
 //! * a composable [`Region`] abstraction (intersection / union / difference)
 //!   used to express uncertainty regions, whose members can classify whole
-//!   rectangles ([`Region::classify`]), together with a deterministic
-//!   adaptive-grid integrator ([`area_in_polygon`]) that measures
-//!   `area(region ∩ polygon)` — the quantity at the heart of the paper's
-//!   *object presence* definition (Definition 1), and its twin for bounded
-//!   scalar fields ([`field_in_polygon`]), which integrates an object's
+//!   rectangles ([`Region::classify`]);
+//! * one deterministic adaptive-grid walker ([`area`]) with two leaf rules:
+//!   the indicator, which measures `area(region ∩ polygon)`
+//!   ([`area_in_polygon`]) — the quantity at the heart of the paper's
+//!   *object presence* definition (Definition 1) — and bounded scalar
+//!   fields ([`field_in_polygon`]), which integrate an object's
 //!   time-in-region over a POI for long-visit dwell;
 //! * exact circle–polygon intersection area ([`circle_polygon_area`]), the
 //!   analytic ground truth the grid integrator is validated against.

@@ -19,6 +19,8 @@ use inflow_geometry::Point;
 
 /// Identifier of a floor within a [`Building`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+// The derived `PartialOrd` calls `partial_cmp` on its integer fields.
+#[allow(clippy::disallowed_methods)]
 pub struct FloorId(pub u32);
 
 impl FloorId {

@@ -8,6 +8,8 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        // The derived `PartialOrd` calls `partial_cmp` on its integer field.
+        #[allow(clippy::disallowed_methods)]
         pub struct $name(pub u32);
 
         impl $name {

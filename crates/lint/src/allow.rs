@@ -122,7 +122,7 @@ IL002 crates/b.rs:10 reason=\"line ten only\"
         assert!(a.suppresses(&finding("IL002", "crates/a.rs", 3)));
         assert!(a.suppresses(&finding("IL002", "crates/b.rs", 10)));
         assert!(!a.suppresses(&finding("IL002", "crates/b.rs", 11)));
-        assert!(!a.suppresses(&finding("IL001", "crates/a.rs", 3)));
+        assert!(!a.suppresses(&finding("IL003", "crates/a.rs", 3)));
         assert!(a.unused().is_empty());
     }
 

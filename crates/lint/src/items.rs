@@ -1,9 +1,7 @@
 //! A lightweight item index over the token stream: every `fn` with its
 //! name, visibility, enclosing `impl` type, signature and body token
 //! ranges. IL005 (obs coverage) needs this to identify query entry
-//! points and walk their intra-crate call graph; IL001 uses the same
-//! `fn`-adjacency information to skip `fn partial_cmp` trait-impl
-//! definitions.
+//! points and walk their intra-crate call graph.
 
 use crate::lexer::{Tok, TokKind};
 

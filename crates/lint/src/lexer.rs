@@ -2,7 +2,7 @@
 //! tracking.
 //!
 //! This is deliberately *not* a parser: the project lints key on token
-//! patterns (`partial_cmp` outside a `fn` definition, `.unwrap()`, a magic
+//! patterns (`.unwrap()`, a lock guard live across an I/O call, a magic
 //! byte-string literal outside its `const`), so a flat token stream with
 //! accurate line numbers and an `in_test` flag per token is all the
 //! structure they need. What the lexer must get exactly right is what a

@@ -2,10 +2,9 @@
 //! workspace's source-level invariants.
 //!
 //! The serving and storage layers rest on properties no unit test can
-//! pin down exhaustively: floats ordered totally (IL001), panic-freedom
-//! in durable paths (IL002), no mutex guard held across I/O (IL003), a
-//! single definition per format magic and one framing module doing all
-//! raw parses (IL004), and observability coverage of query entry points
+//! pin down exhaustively: panic-freedom in durable paths (IL002), no
+//! mutex guard held across I/O (IL003), a single definition per format
+//! magic (IL004), and observability coverage of query entry points
 //! (IL005). This crate lexes every workspace source (no syn, no external
 //! dependencies — same discipline as `crates/obs`) and enforces those as
 //! typed, stably-numbered lints with a reasoned `lint.allow` baseline.
@@ -17,11 +16,13 @@
 //! delta-loop purity (IL009) and the call-chain deepenings of
 //! IL002/IL003, and [`wire`] flags unchecked wire arithmetic (IL008).
 //! IL007 is retired: `tests/wire_format.rs` pins the wire format by its
-//! bytes.
+//! bytes. IL001 (no `partial_cmp`) and IL004's raw-parse half (no
+//! `from_le_bytes` outside `store/frame.rs`) moved to clippy's
+//! `disallowed_methods` in `clippy.toml`.
 //!
 //! Library layout: [`lexer`] turns source text into a token stream with
 //! test-scope flags, [`items`] indexes `fn` items for the call-graph
-//! lint, [`rules`] implements IL001–IL005 over those and drives the
+//! lint, [`rules`] implements IL002–IL005 over those and drives the
 //! whole catalog, and [`allow`] handles the baseline file.
 //! [`collect_sources`] + [`analyze`] is the whole pipeline; the binary
 //! in `main.rs` adds flags and exit codes.

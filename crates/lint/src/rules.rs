@@ -1,5 +1,5 @@
-//! The file-local lint rules, IL001–IL005, and [`analyze`], which runs
-//! the whole catalog: IL001–IL006, IL008 and IL009.
+//! The file-local lint rules, IL002–IL005, and [`analyze`], which runs
+//! the whole catalog: IL002–IL006, IL008 and IL009.
 //!
 //! Every file-local rule works on the token stream from
 //! [`crate::lexer`] (plus the fn index from [`crate::items`] for IL005),
@@ -31,7 +31,8 @@ impl SourceFile {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable lint ID: `IL001` … `IL009` (`IL007` is retired).
+    /// Stable lint ID: `IL002` … `IL009` (`IL001` and `IL007` are
+    /// retired).
     pub lint: &'static str,
     pub path: String,
     pub line: u32,
@@ -53,7 +54,6 @@ impl Finding {
 pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
-        il001_float_total_order(f, &mut out);
         il002_panic_freedom(f, &mut out);
         il003_guard_across_io(f, &mut out);
         il004_format_magic(f, &mut out);
@@ -93,34 +93,6 @@ pub(crate) fn stmt_start(toks: &[Tok], i: usize) -> usize {
         j -= 1;
     }
     0
-}
-
-// ---------------------------------------------------------------- IL001
-
-const IL001_METHOD: &str = "partial_cmp";
-
-/// IL001 float-total-order: flow values and spatial coordinates are
-/// floats used as ordering keys; `partial_cmp` either panics or silently
-/// misorders when a NaN slips in. `f64::total_cmp` is total, sorts NaN
-/// deterministically, and costs the same. A `fn` definition of the
-/// method (a `PartialOrd` impl delegating to `cmp`) is not a use site.
-fn il001_float_total_order(f: &SourceFile, out: &mut Vec<Finding>) {
-    for (i, t) in f.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != IL001_METHOD || t.in_test {
-            continue;
-        }
-        if i > 0 && f.toks[i - 1].is_ident("fn") {
-            continue;
-        }
-        out.push(Finding {
-            lint: "IL001",
-            path: f.rel.clone(),
-            line: t.line,
-            message: format!("NaN-unsafe float ordering via `{IL001_METHOD}`"),
-            hint: "use f64::total_cmp (total order, deterministic NaN placement) \
-                   or derive the key ordering from total_cmp",
-        });
-    }
 }
 
 // ---------------------------------------------------------------- IL002
@@ -336,42 +308,29 @@ fn il003_guard_across_io(f: &SourceFile, out: &mut Vec<Finding>) {
 const FORMAT_MAGIC: [&str; 6] =
     ["IFWAL001", "IFSNP001", "IFCKP001", "IFRPL001", "IFSEG001", "IFMAN001"];
 
-/// The single module allowed to call `from_le_bytes`: the bounds-checked
-/// frame accessor layer everything else must go through.
-const IL004_FRAME_MODULE: &str = "crates/tracking/src/store/frame.rs";
-
+/// IL004 format-magic: each magic is spelled once, at its `const`. (Raw
+/// `from_le_bytes` parses outside `store/frame.rs` are clippy's
+/// `disallowed_methods` now; see `clippy.toml`.)
 fn il004_format_magic(f: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &f.toks;
     for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
+        if t.in_test || t.kind != TokKind::Str || !FORMAT_MAGIC.iter().any(|m| t.text.contains(m)) {
             continue;
         }
-        if t.kind == TokKind::Str && FORMAT_MAGIC.iter().any(|m| t.text.contains(m)) {
-            let start = stmt_start(toks, i);
-            let is_const_def = toks[start..i].iter().any(|s| s.is_ident("const"))
-                && toks[start..i]
-                    .iter()
-                    .any(|s| s.kind == TokKind::Ident && s.text.ends_with("_MAGIC"));
-            if !is_const_def {
-                out.push(Finding {
-                    lint: "IL004",
-                    path: f.rel.clone(),
-                    line: t.line,
-                    message: "format magic literal duplicated outside its const definition".into(),
-                    hint: "reference WAL_MAGIC / SNAPSHOT_MAGIC / SEGMENT_MAGIC (or the \
-                           STATE_HASH_MAGIC hash prefix); a re-spelled literal lets the \
-                           formats drift apart silently",
-                });
-            }
-        }
-        if t.kind == TokKind::Ident && t.text == "from_le_bytes" && f.rel != IL004_FRAME_MODULE {
+        let start = stmt_start(toks, i);
+        let is_const_def = toks[start..i].iter().any(|s| s.is_ident("const"))
+            && toks[start..i]
+                .iter()
+                .any(|s| s.kind == TokKind::Ident && s.text.ends_with("_MAGIC"));
+        if !is_const_def {
             out.push(Finding {
                 lint: "IL004",
                 path: f.rel.clone(),
                 line: t.line,
-                message: "raw little-endian parse outside the framing module".into(),
-                hint: "decode via frame::Cursor / FrameReader (bounds-checked, \
-                       CRC-verified) instead of hand-rolled from_le_bytes",
+                message: "format magic literal duplicated outside its const definition".into(),
+                hint: "reference WAL_MAGIC / SNAPSHOT_MAGIC / SEGMENT_MAGIC (or the \
+                       STATE_HASH_MAGIC hash prefix); a re-spelled literal lets the \
+                       formats drift apart silently",
             });
         }
     }

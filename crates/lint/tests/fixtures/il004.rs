@@ -1,8 +1,4 @@
-//! IL004 fixture: a re-spelled format magic and a raw LE parse outside
-//! the framing module.
+//! IL004 fixture: a format magic re-spelled outside its `const …_MAGIC`
+//! definition.
 
 pub const HEADER: &[u8; 8] = b"IFWAL001";
-
-pub fn parse_len(b: [u8; 4]) -> u32 {
-    u32::from_le_bytes(b)
-}

@@ -50,6 +50,8 @@ struct Entry {
 /// An opaque reference to one entry of the tree, valid until the next
 /// mutation. The join algorithms copy these freely into join lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+// The derived `PartialOrd` calls `partial_cmp` on its integer fields.
+#[allow(clippy::disallowed_methods)]
 pub struct EntryRef {
     node: u32,
     slot: u32,

@@ -6,6 +6,8 @@ use std::collections::HashMap;
 
 /// Identifier of a tracked moving object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+// The derived `PartialOrd` calls `partial_cmp` on its integer fields.
+#[allow(clippy::disallowed_methods)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -24,6 +26,8 @@ impl std::fmt::Display for ObjectId {
 
 /// Identifier of a tracking record within an [`ObjectTrackingTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+// The derived `PartialOrd` calls `partial_cmp` on its integer fields.
+#[allow(clippy::disallowed_methods)]
 pub struct RecordId(pub u32);
 
 impl RecordId {

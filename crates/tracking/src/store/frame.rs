@@ -17,6 +17,11 @@
 //! Payload encodings are fixed-width little-endian — no varints, no
 //! padding — so every record type has exactly one byte representation and
 //! byte-for-byte comparisons of re-encoded state are meaningful.
+//!
+//! This is the one module that may call `from_le_bytes` (`clippy.toml`
+//! disallows it everywhere else): its readers check every length before
+//! the fixed-width slice they decode.
+#![allow(clippy::disallowed_methods)]
 
 use super::{FrameErrorKind, StoreError};
 use crate::ott::{ObjectId, OttRow};

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== inflow-lint (workspace invariants IL001-IL006, IL008, IL009; baseline: lint.allow)"
+echo "== inflow-lint (workspace invariants IL002-IL006, IL008, IL009; baseline: lint.allow)"
 # Stale lint.allow entries are a hard error (--strict-unused); findings
 # already acknowledged in lint-baseline.json are reported but don't gate.
 # The analysis itself carries a wall-time budget: the interprocedural
@@ -23,7 +23,7 @@ if (( LINT_MS > LINT_BUDGET_MS )); then
     exit 1
 fi
 
-echo "== cargo clippy (warnings are errors)"
+echo "== cargo clippy (warnings are errors; clippy.toml disallows partial_cmp, and from_le_bytes outside store/frame.rs)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release"

@@ -129,7 +129,7 @@ fn artree_agrees_with_state_machine() {
             })
             .collect();
         // Make per-object rows disjoint by sorting and pushing starts.
-        seeds.sort_by(|a, b| (a.0, a.2).partial_cmp(&(b.0, b.2)).unwrap());
+        seeds.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.total_cmp(&b.2)));
         let mut free_from: HashMap<u32, f64> = HashMap::new();
         let mut rows = Vec::new();
         for (o, d, ts, dur) in seeds {
