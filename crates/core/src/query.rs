@@ -274,11 +274,11 @@ mod tests {
         assert_eq!(ranked, vec![(PoiId(1), 2.0), (PoiId(2), 1.0), (PoiId(3), 1.0)]);
     }
 
-    /// IL001 regression: a NaN flow must neither panic the sort nor
-    /// perturb the relative order of the finite flows. Under total_cmp,
-    /// NaN compares above +inf, so a NaN entry ranks first (and is
-    /// visible, rather than silently shuffling the rest as the old
-    /// partial_cmp sort could).
+    /// Why `clippy.toml` bans `partial_cmp`: a NaN flow must neither
+    /// panic the sort nor perturb the relative order of the finite
+    /// flows. Under total_cmp, NaN compares above +inf, so a NaN entry
+    /// ranks first (and is visible, rather than silently shuffling the
+    /// rest as the old partial_cmp sort could).
     #[test]
     fn nan_flow_does_not_reorder_topk() {
         let flows = vec![(PoiId(0), 1.0), (PoiId(1), f64::NAN), (PoiId(2), 3.0), (PoiId(3), 2.0)];
