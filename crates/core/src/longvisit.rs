@@ -16,10 +16,13 @@
 //! point's distance from the records around it. The piece's dwell in a
 //! POI is then `(1/|p|) ∫_p T(q) dq` over the time field `T(q)` of
 //! [`inflow_uncertainty::DwellPiece`]: one spatial integration per
-//! (piece, POI) pair, whose only error is the grid's: a block where the
-//! field is positive and free of kinks is priced at the midpoint of
-//! bounds at most [`inflow_uncertainty::DWELL_EPSILON`] of the piece
-//! apart, and every other cell at its centre value.
+//! (piece, POI) pair, whose only error is the grid's. A block where the
+//! field is positive and free of kinks is priced at the midpoint of its
+//! bounds when they are at most [`inflow_uncertainty::DWELL_EPSILON`] of
+//! the piece apart, or else at its second-order mean when one door or
+//! device drives each leg there and the block is small for its distance
+//! from them (within `DWELL_EPSILON / 16` of the piece per unit area);
+//! every other cell takes its centre value.
 //!
 //! Determinism contract: [`object_dwell`] is shared verbatim by the
 //! batch path and the incremental serving engine, the per-POI threshold

@@ -38,9 +38,12 @@
 //!   row-major order, so the result is the same `f64`, bit for bit, as
 //!   probing every cell.
 //! * **Field** ([`field_in_polygon`]). The polygon judges each block inset
-//!   by the padding; the field bounds it ([`FieldBounds`]), and a block
-//!   both prove in whose bounds are close enough is priced at their
-//!   midpoint. An unsettled cell takes its centre value.
+//!   by the padding; the field bounds it ([`FieldBounds`]). A block both
+//!   prove in settles in one of two ways: at the midpoint of its bounds
+//!   when they are close enough, or at the field's second-order mean
+//!   ([`Field::mean`]) when its fourth-order curvature bound is small
+//!   enough for the block's size. An unsettled cell takes its centre
+//!   value.
 
 use crate::mbr::Mbr;
 use crate::point::Point;
@@ -62,7 +65,8 @@ thread_local! {
 /// not only fall as classification settles more of the grid: a settled
 /// block memoises no lattice corners, so an open neighbour probes the
 /// corners they share itself. Each field value [`field_in_polygon`]
-/// takes at an unsettled cell's centre counts as one probe too.
+/// takes counts as one probe too: an unsettled cell's centre value, and
+/// the centre evaluation behind a block settled at its [`Field::mean`].
 ///
 /// Observability hook: profilers snapshot it before and after a query
 /// and report the delta as "grid probes" — the number of point-in-region
@@ -144,14 +148,20 @@ pub fn area_in_window(region: &(impl Region + ?Sized), window: Mbr, res: GridRes
 pub struct FieldBounds {
     /// `Some(false)` when the block lies outside the field's support, so
     /// the field is zero on it; `Some(true)` when it lies inside and the
-    /// field is smooth enough over it for the midpoint of `[lo, hi]` to
-    /// price it; `None` otherwise.
+    /// field is smooth enough over it for the midpoint of `[lo, hi]`, or
+    /// its [`Field::mean`], to price it; `None` otherwise.
     pub support: Option<bool>,
     /// A lower bound on the field at every point of the block inside the
     /// support.
     pub lo: f64,
     /// An upper bound on the field at every point of the block.
     pub hi: f64,
+    /// A bound `K` on the field's fourth derivatives over the block:
+    /// along every unit-speed line through it, `|d⁴f/dt⁴| ≤ 3K` (the form
+    /// `Σ 1/|q − s|³` over distance terms takes; see
+    /// [`field_in_polygon`]). `f64::INFINITY` where the field has no such
+    /// bound there, and wherever `support` is not `Some(true)`.
+    pub quartic: f64,
 }
 
 /// A non-negative scalar field, zero outside its support, that can bound
@@ -161,6 +171,13 @@ pub trait Field {
     fn value(&self, p: Point) -> f64;
     /// Sound bounds over every point of `b`.
     fn bounds(&self, b: &Mbr) -> FieldBounds;
+    /// The second-order mean of the field over the `w × h` rectangle
+    /// centred at `c`: the value at `c` plus half the centre Hessian's
+    /// trace against the rectangle's second moments,
+    /// `(w² · f_xx + h² · f_yy) / 24`. Only called on rectangles whose
+    /// [`FieldBounds::quartic`] is finite, where it is within
+    /// `quartic · (w² + h²)² / 576` of the true mean.
+    fn mean(&self, c: Point, w: f64, h: f64) -> f64;
     /// A rectangle holding the support.
     fn mbr(&self) -> Mbr;
 }
@@ -170,13 +187,30 @@ pub trait Field {
 /// as [`area_in_polygon`].
 ///
 /// A block is settled without a single evaluation when the polygon or
-/// the field's support proves it out, or the field's upper bound is zero;
-/// or when the polygon and the support both prove it in and the field's
-/// bounds are `tol` apart or closer: it is then priced at the midpoint of
-/// its bounds, within `tol / 2` per unit area of the exact integral. A
-/// cell no bound settles takes its centre value (one field evaluation,
-/// counted in [`integration_probes`]; each block bounded counts in
-/// [`integration_blocks`]). Deterministic: the same inputs give the same
+/// the field's support proves it out, or the field's upper bound is zero.
+/// A block the polygon and the support both prove in settles in one of
+/// two ways, each within a stated error per unit area:
+///
+/// * its bounds are `tol` apart or closer: it is priced at their
+///   midpoint, within `tol / 2`;
+/// * its curvature is small for its size,
+///   `quartic · (w² + h²)² / 576 ≤ tol / 16`: it is priced at the
+///   field's [`Field::mean`] (one evaluation), within `tol / 16`.
+///
+/// The second rule's bound: on a rectangle centred at `c`, the odd terms
+/// of the Taylor series of `f` about `c` average to zero, so the mean
+/// differs from the second-order mean by the average of the fourth-order
+/// remainder, at most `E[|δ|⁴] · max |d⁴f/dt⁴| / 24` over offsets `δ`
+/// from `c`. A rectangle has `E[|δ|⁴] = (w⁴ + h⁴)/80 + w²h²/144 ≤
+/// (w² + h²)² / 72`, and a quartic `K` bounds `|d⁴f/dt⁴|` by `3K` (for
+/// `|q − s|` along any line, `|d⁴/dt⁴| ≤ 3 / |q − s|³`), which gives
+/// `K · (w² + h²)² / 576`. The share `tol / 16`, an eighth of the first
+/// rule's, keeps the blocks it settles well inside the error the first
+/// rule already allows.
+///
+/// A cell no rule settles takes its centre value. Each field value taken
+/// counts in [`integration_probes`], each block bounded in
+/// [`integration_blocks`]. Deterministic: the same inputs give the same
 /// `f64`.
 pub fn field_in_polygon(
     field: &(impl Field + ?Sized),
@@ -218,7 +252,7 @@ trait Rule {
     type Proof: Copy;
     /// The block's value when its bounds settle it, else the proof its
     /// quadrants inherit.
-    fn settle(&mut self, g: &Grid, b: Block, above: Self::Proof) -> Result<f64, Self::Proof>;
+    fn settle(&mut self, g: &mut Grid, b: Block, above: Self::Proof) -> Result<f64, Self::Proof>;
     /// The value of the unsettled cell `(i, j)`.
     fn cell(&mut self, g: &mut Grid, i: usize, j: usize, proof: Self::Proof) -> f64;
 }
@@ -306,9 +340,9 @@ impl Grid {
     }
 }
 
-/// The field rule: inset polygon verdicts, support and bound-midpoint
-/// settling, centre values. Its proof is whether the polygon holds the
-/// block.
+/// The field rule: inset polygon verdicts, support, bound-midpoint and
+/// curvature settling, centre values. Its proof is whether the polygon
+/// holds the block.
 struct FieldRule<'a, F: ?Sized> {
     field: &'a F,
     polygon: &'a Polygon,
@@ -318,7 +352,7 @@ struct FieldRule<'a, F: ?Sized> {
 impl<F: Field + ?Sized> Rule for FieldRule<'_, F> {
     type Proof = bool;
 
-    fn settle(&mut self, g: &Grid, b: Block, in_polygon: bool) -> Result<f64, bool> {
+    fn settle(&mut self, g: &mut Grid, b: Block, in_polygon: bool) -> Result<f64, bool> {
         // The polygon judges the block inset by the padding: the window's
         // edge is an axis-rectangle POI's own edge, and no block along it
         // could ever be proven inside otherwise. What this gives up is a
@@ -329,13 +363,24 @@ impl<F: Field + ?Sized> Rule for FieldRule<'_, F> {
                 Some(true) => true,
                 None => false,
             };
-        let FieldBounds { support, lo, hi } = self.field.bounds(&g.bounds(b, g.pad));
+        let FieldBounds { support, lo, hi, quartic } = self.field.bounds(&g.bounds(b, g.pad));
         if support == Some(false) || hi <= 0.0 {
             return Ok(0.0);
         }
-        if in_polygon && support == Some(true) && hi - lo <= self.tol {
+        if in_polygon && support == Some(true) {
             let cells = ((b.i1 - b.i0) * (b.j1 - b.j0)) as f64;
-            return Ok(0.5 * (lo + hi) * cells * g.cell_area);
+            if hi - lo <= self.tol {
+                return Ok(0.5 * (lo + hi) * cells * g.cell_area);
+            }
+            // The curvature rule of `field_in_polygon`, on the block itself:
+            // the padding only lowers the distances `quartic` is bounded by.
+            let (w, h) = (g.x(b.i1) - g.x(b.i0), g.y(b.j1) - g.y(b.j0));
+            let diag = w * w + h * h;
+            if quartic * diag * diag / 576.0 <= self.tol / 16.0 {
+                g.probes += 1;
+                let c = Point::new(g.x(b.i0) + 0.5 * w, g.y(b.j0) + 0.5 * h);
+                return Ok(self.field.mean(c, w, h) * cells * g.cell_area);
+            }
         }
         Err(in_polygon)
     }
@@ -403,7 +448,7 @@ impl<R: Region + ?Sized> Rule for Indicator<'_, R> {
     /// Classifies the padded block by each factor not already proven: out
     /// as soon as one factor is, in once both are. The top block is
     /// settled before anything is allocated.
-    fn settle(&mut self, g: &Grid, b: Block, above: Proven) -> Result<f64, Proven> {
+    fn settle(&mut self, g: &mut Grid, b: Block, above: Proven) -> Result<f64, Proven> {
         let m = g.bounds(b, g.pad);
         // The polygon goes first: its test is far cheaper than a composite
         // (possibly topology-constrained) region's. Its verdicts hold for
@@ -716,7 +761,11 @@ mod tests {
         }
         fn bounds(&self, b: &Mbr) -> FieldBounds {
             let support = Region::classify(&self.disk, b);
-            FieldBounds { support, lo: self.slope * b.lo.x, hi: self.slope * b.hi.x }
+            let (lo, hi) = (self.slope * b.lo.x, self.slope * b.hi.x);
+            FieldBounds { support, lo, hi, quartic: f64::INFINITY }
+        }
+        fn mean(&self, c: Point, _: f64, _: f64) -> f64 {
+            self.value(c)
         }
         fn mbr(&self) -> Mbr {
             self.disk.mbr()
@@ -758,7 +807,11 @@ mod tests {
                 f64::from(u8::from(self.0.contains(p)))
             }
             fn bounds(&self, b: &Mbr) -> FieldBounds {
-                FieldBounds { support: Region::classify(&self.0, b), lo: 1.0, hi: 1.0 }
+                let support = Region::classify(&self.0, b);
+                FieldBounds { support, lo: 1.0, hi: 1.0, quartic: f64::INFINITY }
+            }
+            fn mean(&self, c: Point, _: f64, _: f64) -> f64 {
+                self.value(c)
             }
             fn mbr(&self) -> Mbr {
                 self.0.mbr()
@@ -769,5 +822,66 @@ mod tests {
         assert!((v - exact).abs() / exact < 5e-3, "{v} vs {exact}");
         let empty = Unit(Circle::new(Point::new(10.0, 10.0), 1.0));
         assert_eq!(field_in_polygon(&empty, &poly, GridResolution::DEFAULT, 0.0), 0.0);
+    }
+
+    /// `top − |q − s|`, a cone falling away from `s`, on the whole plane.
+    struct Cone {
+        s: Point,
+        top: f64,
+        /// Whether `bounds` reports the cone's quartic.
+        curved: bool,
+    }
+
+    impl Field for Cone {
+        fn value(&self, p: Point) -> f64 {
+            self.top - p.distance(self.s)
+        }
+        fn bounds(&self, b: &Mbr) -> FieldBounds {
+            let (near, far) = (b.min_distance_sq(self.s).sqrt(), b.max_distance_sq(self.s).sqrt());
+            let quartic = if self.curved { 1.0 / (near * near * near) } else { f64::INFINITY };
+            FieldBounds { support: Some(true), lo: self.top - far, hi: self.top - near, quartic }
+        }
+        fn mean(&self, c: Point, w: f64, h: f64) -> f64 {
+            let (dx, dy) = (c.x - self.s.x, c.y - self.s.y);
+            let rho = dx.hypot(dy);
+            self.value(c) - (w * w * dy * dy + h * h * dx * dx) / (24.0 * rho * rho * rho)
+        }
+        fn mbr(&self) -> Mbr {
+            Mbr::new(Point::new(-100.0, -100.0), Point::new(100.0, 100.0))
+        }
+    }
+
+    #[test]
+    fn curvature_settles_smooth_blocks_within_their_bound() {
+        // A cone whose source lies 3 m off a 4 × 4 POI: its range over the
+        // POI is wide, but its curvature there is small.
+        let poly = square(0.0, 0.0, 4.0, 4.0);
+        let (s, tol) = (Point::new(-3.0, 2.0), 0.05);
+        // The exact integral, by a 1024 × 1024 midpoint rule (its own
+        // error is below 1e-6 here).
+        let n = 1024;
+        let step = 4.0 / n as f64;
+        let mut exact = 0.0;
+        for j in 0..n {
+            for i in 0..n {
+                let q = Point::new((i as f64 + 0.5) * step, (j as f64 + 0.5) * step);
+                exact += (10.0 - q.distance(s)) * step * step;
+            }
+        }
+        let mut runs = Vec::new();
+        for curved in [false, true] {
+            let cone = Cone { s, top: 10.0, curved };
+            let (b0, p0) = (integration_blocks(), integration_probes());
+            let v = field_in_polygon(&cone, &poly, GridResolution::DEFAULT, tol);
+            runs.push((v, integration_blocks() - b0, integration_probes() - p0));
+        }
+        let ((range, range_blocks, _), (curv, curv_blocks, curv_probes)) = (runs[0], runs[1]);
+        // Both rules keep their stated error per unit area (16 m²).
+        assert!((range - exact).abs() <= 16.0 * tol / 2.0, "{range} vs {exact}");
+        assert!((curv - exact).abs() <= 16.0 * tol / 16.0 + 1e-6, "{curv} vs {exact}");
+        // The curvature rule settles far higher in the quadtree, and every
+        // block it settles costs one field value.
+        assert!(curv_blocks * 4 < range_blocks, "{curv_blocks} vs {range_blocks}");
+        assert!(curv_probes > 0 && curv_probes < curv_blocks, "{curv_probes} of {curv_blocks}");
     }
 }

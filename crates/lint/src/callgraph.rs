@@ -9,9 +9,12 @@
 //! costs at worst an allowlist entry. The main noise dampener is the
 //! [`SKIP_METHODS`] list of ubiquitous trait methods (`next`, `clone`,
 //! `fmt`, …) whose name-level fan-out would connect everything to
-//! everything while proving nothing.
+//! everything while proving nothing. A method call's fallback to free
+//! fns of the same name stays inside what the caller's crate can reach:
+//! itself and the workspace crates it names, transitively ([`crate_deps`]).
 
 use crate::ast::{extract_facts, parse_fns, Callee, FnFacts};
+use crate::lexer::TokKind;
 use crate::rules::SourceFile;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -78,6 +81,8 @@ pub struct CallGraph {
     by_free: HashMap<String, Vec<usize>>,
     /// (impl type, name) -> nodes.
     by_assoc: HashMap<(String, String), Vec<usize>>,
+    /// crate -> the crates its code can call into ([`crate_deps`]).
+    deps: HashMap<String, HashSet<String>>,
     /// Resolved call edges per node, parallel to `facts.calls`:
     /// `edges[n][c]` are the target node indices of call site `c`.
     pub edges: Vec<Vec<Vec<usize>>>,
@@ -115,23 +120,19 @@ impl CallGraph {
                 None => by_free.entry(n.name.clone()).or_default().push(i),
             }
         }
-        let mut g = CallGraph { nodes, by_method, by_free, by_assoc, edges: Vec::new() };
+        let deps = crate_deps(files);
+        let mut g = CallGraph { nodes, by_method, by_free, by_assoc, deps, edges: Vec::new() };
         g.edges = (0..g.nodes.len())
             .map(|i| {
-                let caller_ty = g.nodes[i].impl_type.clone();
-                g.nodes[i]
-                    .facts
-                    .calls
-                    .iter()
-                    .map(|c| g.resolve(&c.name, &c.callee, caller_ty.as_deref()))
-                    .collect()
+                g.nodes[i].facts.calls.iter().map(|c| g.resolve(&c.name, &c.callee, i)).collect()
             })
             .collect();
         g
     }
 
-    /// Candidate target nodes for a call site.
-    fn resolve(&self, name: &str, callee: &Callee, caller_ty: Option<&str>) -> Vec<usize> {
+    /// Candidate target nodes for a call site in node `caller`.
+    fn resolve(&self, name: &str, callee: &Callee, caller: usize) -> Vec<usize> {
+        let caller_ty = self.nodes[caller].impl_type.as_deref();
         match callee {
             Callee::Assoc(qual) => {
                 let ty = if qual == "Self" { caller_ty.unwrap_or(qual) } else { qual };
@@ -167,7 +168,8 @@ impl CallGraph {
                 }
                 // `self.m(..)` in `impl T` resolves to `T::m` when that
                 // exists; otherwise (and for non-self receivers) fall back
-                // to every method of that name.
+                // to every method of that name, and to the free fns of
+                // that name in crates the caller's crate can reach.
                 if recv.as_deref() == Some("self") {
                     if let Some(ty) = caller_ty {
                         if let Some(v) = self.by_assoc.get(&(ty.to_string(), name.to_string())) {
@@ -176,7 +178,10 @@ impl CallGraph {
                     }
                 }
                 let mut v = self.by_method.get(name).cloned().unwrap_or_default();
-                v.extend(self.by_free.get(name).cloned().unwrap_or_default());
+                let reachable = self.deps.get(&crate_of(&self.nodes[caller].file));
+                v.extend(self.by_free.get(name).into_iter().flatten().copied().filter(|&i| {
+                    reachable.is_some_and(|r| r.contains(&crate_of(&self.nodes[i].file)))
+                }));
                 v
             }
         }
@@ -316,6 +321,55 @@ impl CallGraph {
     }
 }
 
+/// The crate a workspace file belongs to, under the name its dependents
+/// write: `inflow_<dir>` for `crates/<dir>/…`, and the root `inflow` for
+/// everything else (`src/`, `examples/`).
+fn crate_of(rel: &str) -> String {
+    match rel.strip_prefix("crates/").and_then(|r| r.split('/').next()) {
+        Some(dir) => format!("inflow_{dir}"),
+        None => "inflow".to_string(),
+    }
+}
+
+/// For each crate of `files`, the crates its non-test code can call into:
+/// itself, and the workspace crates its sources name (`inflow_geometry`
+/// in a `use` or a path), transitively. A crate can only name what its
+/// manifest depends on, so this is the dependency closure as far as the
+/// code uses it.
+fn crate_deps(files: &[SourceFile]) -> HashMap<String, HashSet<String>> {
+    let mut deps: HashMap<String, HashSet<String>> = HashMap::new();
+    for f in files {
+        let own = crate_of(&f.rel);
+        deps.entry(own.clone()).or_default().insert(own);
+    }
+    let crates: HashSet<String> = deps.keys().cloned().collect();
+    for f in files {
+        let named = f
+            .toks
+            .iter()
+            .filter(|t| !t.in_test && t.kind == TokKind::Ident && crates.contains(t.text.as_str()));
+        let set = deps.entry(crate_of(&f.rel)).or_default();
+        set.extend(named.map(|t| t.text.clone()));
+    }
+    loop {
+        let before = deps.clone();
+        let mut grew = false;
+        for set in deps.values_mut() {
+            let reached: Vec<String> = set
+                .iter()
+                .flat_map(|d| &before[d])
+                .filter(|c| !set.contains(*c))
+                .cloned()
+                .collect();
+            grew |= !reached.is_empty();
+            set.extend(reached);
+        }
+        if !grew {
+            return deps;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +403,51 @@ mod tests {
         assert!(!reach.contains_key(&idx(&g, "S::step")));
         let go = idx(&g, "S::go");
         assert!(g.reach(go, |_| false).contains_key(&idx(&g, "S::step")));
+    }
+
+    #[test]
+    fn method_fallback_stays_in_the_crates_the_caller_can_reach() {
+        // A method call whose receiver type is unknown falls back to free
+        // fns of the same name. The lint's own file walker, which does
+        // I/O, must not be one for a grid walk in geometry: no chain from
+        // a query path can reach the lint crate.
+        let g = CallGraph::build(&[
+            SourceFile::new(
+                "crates/geometry/src/area.rs",
+                "
+                pub fn field_in_polygon() { walk_grid(Grid); }
+                fn walk_grid(g: Grid) { g.walk(); }
+                struct Grid;
+                impl Grid { fn walk(&self) {} }
+                pub fn walk() {}
+            ",
+            ),
+            SourceFile::new(
+                "crates/core/src/longvisit.rs",
+                "
+                use inflow_geometry::field_in_polygon;
+                pub fn dwell(g: Grid) { field_in_polygon(); g.walk(); }
+            ",
+            ),
+            SourceFile::new(
+                "crates/lint/src/lib.rs",
+                "fn walk(dir: &Path) { std::fs::read_dir(dir); }",
+            ),
+        ]);
+        let lint_walk = (0..g.nodes.len())
+            .find(|&i| g.nodes[i].label() == "walk" && g.nodes[i].file.starts_with("crates/lint"))
+            .expect("the lint's walk");
+        let geometry_walk = (0..g.nodes.len())
+            .find(|&i| g.nodes[i].label() == "walk" && g.nodes[i].file.starts_with("crates/geo"))
+            .expect("geometry's free walk");
+        let from_geometry = g.reach(idx(&g, "field_in_polygon"), |_| false);
+        assert!(from_geometry.contains_key(&idx(&g, "Grid::walk")));
+        assert!(from_geometry.contains_key(&geometry_walk), "same-crate fallback kept");
+        assert!(!from_geometry.contains_key(&lint_walk), "{}", g.chain(&from_geometry, lint_walk));
+        // A crate that names geometry still falls back into it.
+        let from_core = g.reach(idx(&g, "dwell"), |_| false);
+        assert!(from_core.contains_key(&geometry_walk));
+        assert!(!from_core.contains_key(&lint_walk), "{}", g.chain(&from_core, lint_walk));
     }
 
     #[test]

@@ -12,11 +12,14 @@ use inflow_tracking::{ObjectId, ObjectState, ObjectTrackingTable, Timestamp};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// How far apart, relative to the piece length, the bounds of the time
-/// field may be on a grid block that [`UrEngine::dwell`] prices at their
-/// midpoint instead of refining: such a block is off by at most
-/// `DWELL_EPSILON / 2 · (b − a)` per unit area. A fixed property of the
-/// quadrature, like the grid itself, not a query parameter.
+/// The dwell quadrature's tolerance, relative to the piece length: a grid
+/// block that [`UrEngine::dwell`] settles instead of refining is off by
+/// at most `DWELL_EPSILON / 2 · (b − a)` per unit area when priced at the
+/// midpoint of time-field bounds at most `DWELL_EPSILON · (b − a)` apart,
+/// and by at most `DWELL_EPSILON / 16 · (b − a)` when priced at its
+/// second-order mean where the field's curvature allows it (see
+/// [`field_in_polygon`]). A fixed property of the quadrature, like the
+/// grid itself, not a query parameter.
 pub const DWELL_EPSILON: f64 = 0.05;
 
 /// Configuration of uncertainty-region derivation and presence

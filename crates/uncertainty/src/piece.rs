@@ -18,6 +18,15 @@
 //! `∫ presence dt` over the piece is `(1/|p|) ∫_p T(q) dq`: one spatial
 //! integration of a bounded field ([`inflow_geometry::field_in_polygon`])
 //! instead of one indicator integration per time sample.
+//!
+//! Off its kinks, `T` is `b − a`, `t_out − a`, `b − t_in` or
+//! `t_out − t_in`: a constant less one distance term `|q − s| / V_max` per
+//! leg whose clamp is active, where `s` is the source (device centre or
+//! host door) nearest `q` through. Over a block where each such leg has a
+//! single source that no other can undercut, `T` is smooth, and
+//! [`PieceField`] reports the curvature bound and second-order mean that
+//! let the integrator price the block at one value
+//! ([`inflow_geometry::FieldBounds::quartic`], [`Field::mean`]).
 
 use crate::context::IndoorContext;
 use crate::regions::{HostCell, IndoorAnchor};
@@ -135,7 +144,7 @@ impl DwellPiece {
     /// counts as inside the host rather than taking the minimum over the
     /// cells beyond. That band has no area to speak of, and without it no
     /// block along a wall of the host could be bounded.
-    pub(crate) fn field(&self, host: Option<HostCell>) -> PieceField<'_> {
+    pub fn field(&self, host: Option<HostCell>) -> PieceField<'_> {
         let host = host.as_ref();
         PieceField {
             piece: self,
@@ -155,18 +164,34 @@ enum Distance<'a> {
 }
 
 /// One leg of a piece over an integration window.
-struct LegView<'a> {
+pub struct LegView<'a> {
     circle: Circle,
     /// `pre.te` or `suc.ts`.
     at: f64,
     distance: Distance<'a>,
 }
 
+/// What a leg proves over a block ([`LegView::bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LegBounds {
+    /// Whether the block is proven outside the detection disk.
+    pub outside: Option<bool>,
+    /// A lower bound on [`LegView::distance`] over the block.
+    pub lo: f64,
+    /// An upper bound on it (`f64::INFINITY` standing for unreachable).
+    pub hi: f64,
+    /// The one source no other can undercut anywhere in the block, as
+    /// `(at, offset)`: the leg's distance there is `offset + |q − at|`.
+    /// `None` under the plan-wide distance, where two or more sources
+    /// survive, or where the distance may clamp at zero.
+    pub source: Option<(Point, f64)>,
+}
+
 impl LegView<'_> {
     /// Distance from the device's range boundary to `q`, as the ring test
     /// measures it; `None` when `q` is inside the detection disk (the ring
     /// excludes it) or unreachable.
-    fn distance(&self, q: Point) -> Option<f64> {
+    pub fn distance(&self, q: Point) -> Option<f64> {
         let c = self.circle;
         if c.center.distance_sq(q) <= c.radius * c.radius - EPS {
             return None;
@@ -186,57 +211,109 @@ impl LegView<'_> {
     }
 
     /// Over the block `b`: whether it is proven outside the detection
-    /// disk, and bounds on [`LegView::distance`] (`f64::INFINITY` standing
-    /// for unreachable).
-    fn bounds(&self, b: &Mbr) -> (Option<bool>, f64, f64) {
+    /// disk, bounds on [`LegView::distance`], and the source that gives
+    /// it throughout the block when only one can. A source whose lower
+    /// bound exceeds the least upper bound is never the nearest in the
+    /// block, so one source survives exactly when the second-least lower
+    /// bound exceeds the least upper one; it is then the source of the
+    /// least lower bound. Recomputed per block: a block's survivors are
+    /// cheap to find from the bounds the block needs anyway.
+    pub fn bounds(&self, b: &Mbr) -> LegBounds {
         let c = self.circle;
         let outside = Region::classify(&c, b).map(|inside| !inside);
-        let (lo, hi) = match &self.distance {
+        let (lo, hi, source) = match &self.distance {
             Distance::Sources(sources) => {
-                sources.iter().fold((f64::INFINITY, f64::INFINITY), |(lo, hi), &(at, via)| {
-                    (
-                        lo.min(via + b.min_distance_sq(at).sqrt()),
-                        hi.min(via + b.max_distance_sq(at).sqrt()),
-                    )
-                })
+                let (mut lo, mut hi, mut second) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+                let mut nearest = None;
+                for &(at, via) in sources {
+                    let near = via + b.min_distance_sq(at).sqrt();
+                    hi = hi.min(via + b.max_distance_sq(at).sqrt());
+                    if near < lo {
+                        (second, lo, nearest) = (lo, near, Some((at, via - c.radius)));
+                    } else {
+                        second = second.min(near);
+                    }
+                }
+                (lo, hi, nearest.filter(|_| second > hi && lo >= c.radius))
             }
             Distance::Plan(anchor) => {
                 let (lo, hi) = c.boundary_distance_bounds(b);
-                return match anchor.boundary_bounds(b, None) {
-                    Some((ilo, ihi)) => (outside, lo.max(ilo), hi.max(ihi)),
+                let (lo, hi) = match anchor.boundary_bounds(b, None) {
+                    Some((ilo, ihi)) => (lo.max(ilo), hi.max(ihi)),
                     // Straddles a wall: indoor is never shorter than Euclidean.
-                    None => (outside, lo, f64::INFINITY),
+                    None => (lo, f64::INFINITY),
                 };
+                return LegBounds { outside, lo, hi, source: None };
             }
         };
-        (outside, (lo - c.radius).max(0.0), (hi - c.radius).max(0.0))
+        LegBounds { outside, lo: (lo - c.radius).max(0.0), hi: (hi - c.radius).max(0.0), source }
+    }
+
+    /// The second-order term of the leg's distance over the `w × h` block
+    /// centred at `q`, `(w² · u_y² + h² · u_x²) / (24 · ρ)` for `ρ` and
+    /// `u` the length and direction of `q − s`, `s` the source nearest
+    /// through: half the trace of the Hessian of `|q − s|`, which is
+    /// `(I − u uᵀ) / ρ`, against the block's second moments. Zero under
+    /// the plan-wide distance, which reports no curvature bound.
+    fn bend(&self, q: Point, w: f64, h: f64) -> f64 {
+        let Distance::Sources(sources) = &self.distance else { return 0.0 };
+        let through = |&(at, via): &(Point, f64)| via + at.distance(q);
+        let Some(&(s, _)) = sources.iter().min_by(|x, y| through(x).total_cmp(&through(y))) else {
+            return 0.0;
+        };
+        let (dx, dy) = (q.x - s.x, q.y - s.y);
+        let rho_sq = dx * dx + dy * dy;
+        (w * w * dy * dy + h * h * dx * dx) / (24.0 * rho_sq * rho_sq.sqrt())
     }
 }
 
 /// A [`DwellPiece`] as an integrable [`Field`] of `T(q)` over one
 /// integration window ([`DwellPiece::field`]).
-pub(crate) struct PieceField<'a> {
+pub struct PieceField<'a> {
     piece: &'a DwellPiece,
     pre: Option<LegView<'a>>,
     suc: Option<LegView<'a>>,
 }
 
-impl Field for PieceField<'_> {
-    fn value(&self, q: Point) -> f64 {
+impl<'a> PieceField<'a> {
+    /// The piece's legs over this window: the predecessor's, then the
+    /// successor's, each when the piece has one.
+    pub fn legs(&self) -> impl Iterator<Item = &LegView<'a>> {
+        self.pre.iter().chain(self.suc.iter())
+    }
+
+    /// `T(q)`; with `block = Some((w, h))`, less each active leg's
+    /// [`LegView::bend`] over the `w × h` block centred at `q`, which
+    /// makes it the block's second-order mean ([`Field::mean`]).
+    fn time_at(&self, q: Point, block: Option<(f64, f64)>) -> f64 {
         let piece = self.piece;
         if piece.disk.is_some_and(|d| !d.contains(q)) {
             return 0.0;
         }
-        let (mut from, mut to) = (piece.a, piece.b);
+        let (mut from, mut to, mut bend) = (piece.a, piece.b, 0.0);
         if let Some(leg) = &self.pre {
             let Some(d) = leg.distance(q) else { return 0.0 };
-            from = from.max(leg.at + d / piece.vmax);
+            let t_in = leg.at + d / piece.vmax;
+            if t_in > from {
+                from = t_in;
+                bend += block.map_or(0.0, |(w, h)| leg.bend(q, w, h) / piece.vmax);
+            }
         }
         if let Some(leg) = &self.suc {
             let Some(d) = leg.distance(q) else { return 0.0 };
-            to = to.min(leg.at - d / piece.vmax);
+            let t_out = leg.at - d / piece.vmax;
+            if t_out < to {
+                to = t_out;
+                bend += block.map_or(0.0, |(w, h)| leg.bend(q, w, h) / piece.vmax);
+            }
         }
-        (to - from).max(0.0)
+        (to - from - bend).max(0.0)
+    }
+}
+
+impl Field for PieceField<'_> {
+    fn value(&self, q: Point) -> f64 {
+        self.time_at(q, None)
     }
 
     /// `T` falls as `t_in` rises and rises with `t_out`, so the distance
@@ -246,131 +323,63 @@ impl Field for PieceField<'_> {
     /// a kink `T` is flat on one side, and the midpoint of its bounds
     /// would misprice the plateau (a pause in a POI through a long gap
     /// lost 0.7 s of 30 that way).
+    ///
+    /// There `T` is a constant less `|q − s| / V_max` for each leg whose
+    /// clamp is active, so `quartic` is `Σ 1 / (V_max · ρ³)` over those
+    /// legs, `ρ` the least distance from the block to the leg's single
+    /// surviving source ([`LegBounds::source`]); infinite when such a leg
+    /// has none.
     fn bounds(&self, b: &Mbr) -> FieldBounds {
         let piece = self.piece;
         let mut support = piece.disk.map_or(Some(true), |d| Region::classify(&d, b));
         let (mut from_lo, mut from_hi, mut to_lo, mut to_hi) = (piece.a, piece.a, piece.b, piece.b);
         let mut kinked = false;
+        let mut quartic = 0.0;
         for (leg, entry) in [(&self.pre, true), (&self.suc, false)] {
             if support == Some(false) {
                 break;
             }
             let Some(leg) = leg else { continue };
-            let (outside, lo, hi) = leg.bounds(b);
+            let LegBounds { outside, lo, hi, source } = leg.bounds(b);
             support = all_of([support, outside]);
-            if entry {
+            let active = if entry {
                 let (t_lo, t_hi) = (leg.at + lo / piece.vmax, leg.at + hi / piece.vmax);
                 kinked |= t_lo < piece.a && piece.a < t_hi;
                 from_lo = from_lo.max(t_lo);
                 from_hi = from_hi.max(t_hi);
+                t_hi > piece.a
             } else {
                 let (t_lo, t_hi) = (leg.at - hi / piece.vmax, leg.at - lo / piece.vmax);
                 kinked |= t_lo < piece.b && piece.b < t_hi;
                 to_lo = to_lo.min(t_lo);
                 to_hi = to_hi.min(t_hi);
+                t_lo < piece.b
+            };
+            if active {
+                quartic += source.map_or(f64::INFINITY, |(at, _)| {
+                    let rho_sq = b.min_distance_sq(at);
+                    1.0 / (piece.vmax * rho_sq * rho_sq.sqrt())
+                });
             }
         }
         if support == Some(false) {
-            return FieldBounds { support, lo: 0.0, hi: 0.0 };
+            return FieldBounds { support, lo: 0.0, hi: 0.0, quartic: f64::INFINITY };
         }
         let (lo, hi) = ((to_lo - from_hi).max(0.0), (to_hi - from_lo).max(0.0));
         if lo <= 0.0 || kinked {
             support = all_of([support, None]);
         }
-        FieldBounds { support, lo, hi }
+        if support != Some(true) {
+            quartic = f64::INFINITY;
+        }
+        FieldBounds { support, lo, hi, quartic }
+    }
+
+    fn mean(&self, c: Point, w: f64, h: f64) -> f64 {
+        self.time_at(c, Some((w, h)))
     }
 
     fn mbr(&self) -> Mbr {
         self.piece.mbr
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{UrConfig, UrEngine};
-    use inflow_geometry::Polygon;
-    use inflow_indoor::{CellKind, FloorPlanBuilder, PoiId};
-    use inflow_tracking::{ObjectId, ObjectTrackingTable, OttRow};
-
-    /// Two 4×4 rooms sharing wall x = 4 with a door at (4, 2); one device
-    /// in each room and one near the door. POI 0 is room b's east half.
-    fn engine(topology_check: bool) -> UrEngine {
-        let mut b = FloorPlanBuilder::new();
-        let rect = |x0, y0, x1, y1| Polygon::rectangle(Point::new(x0, y0), Point::new(x1, y1));
-        let a = b.add_cell("a", CellKind::Room, rect(0.0, 0.0, 4.0, 4.0));
-        let c = b.add_cell("b", CellKind::Room, rect(4.0, 0.0, 8.0, 4.0));
-        b.add_door("d", Point::new(4.0, 2.0), a, c);
-        b.add_device("west", Point::new(1.0, 3.0), 0.5);
-        b.add_device("east", Point::new(6.5, 1.0), 0.5);
-        b.add_device("door", Point::new(3.5, 2.0), 0.4);
-        b.add_poi("east", rect(6.0, 0.0, 8.0, 4.0));
-        let ctx = Arc::new(IndoorContext::new(b.build().unwrap()));
-        UrEngine::new(ctx, UrConfig { vmax: 1.0, topology_check, ..UrConfig::default() })
-    }
-
-    #[test]
-    fn field_bounds_hold_at_every_point_of_their_block() {
-        let row = |d, ts, te| OttRow { object: ObjectId(1), device: DeviceId(d), ts, te };
-        // west → east through the door with 2 s to spare, then the door
-        // device while the east ring still cuts its disk.
-        let ott = ObjectTrackingTable::from_rows(vec![
-            row(0, 0.0, 2.0),
-            row(1, 11.0, 13.0),
-            row(2, 17.0, 20.0),
-        ])
-        .unwrap();
-        let mut verdicts = [0usize; 3];
-        for topology_check in [true, false] {
-            let engine = engine(topology_check);
-            let plan = engine.context().plan();
-            let host = HostCell::of_poi(plan, plan.poi(PoiId(0))).unwrap();
-            for (a, b) in [(2.0, 11.0), (4.0, 9.0), (11.0, 13.0), (17.0, 20.0)] {
-                let state = ott.state_at(ObjectId(1), 0.5 * (a + b)).unwrap();
-                let piece = engine.dwell_piece(&ott, state, a, b);
-                // Without a host over both rooms; with one over room b's
-                // east half, where the host's door rule holds.
-                for (field, area) in [
-                    (piece.field(None), Mbr::new(Point::new(0.0, 0.0), Point::new(8.0, 4.0))),
-                    (piece.field(Some(host)), Mbr::new(Point::new(6.0, 0.0), Point::new(8.0, 4.0))),
-                ] {
-                    for k in 0..64 {
-                        // Blocks of four sizes tiling the area.
-                        let n = [1usize, 2, 4, 8][k % 4];
-                        let (i, j) = ((k / 4) % n, (k / 16) % n);
-                        let (w, h) = (area.width() / n as f64, area.height() / n as f64);
-                        let lo = Point::new(area.lo.x + i as f64 * w, area.lo.y + j as f64 * h);
-                        let blk = Mbr::new(lo, Point::new(lo.x + w, lo.y + h));
-                        let fb = field.bounds(&blk);
-                        verdicts[match fb.support {
-                            Some(false) => 0,
-                            None => 1,
-                            Some(true) => 2,
-                        }] += 1;
-                        for s in 0..=6 {
-                            for t in 0..=6 {
-                                let q = Point::new(
-                                    blk.lo.x + w * s as f64 / 6.0,
-                                    blk.lo.y + h * t as f64 / 6.0,
-                                );
-                                let v = field.value(q);
-                                let ctx =
-                                    format!("topology {topology_check} [{a}, {b}] {blk:?} at {q}");
-                                assert!((0.0..=b - a).contains(&v), "{ctx}: {v}");
-                                assert!(v <= fb.hi + 1e-9, "{ctx}: {v} above {fb:?}");
-                                match fb.support {
-                                    Some(false) => assert_eq!(v, 0.0, "{ctx}: {fb:?}"),
-                                    Some(true) => {
-                                        assert!(v >= fb.lo - 1e-9, "{ctx}: {v} below {fb:?}")
-                                    }
-                                    None => assert!(v == 0.0 || v >= fb.lo - 1e-9, "{ctx}: {fb:?}"),
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(verdicts.iter().all(|&n| n > 0), "every verdict occurs: {verdicts:?}");
     }
 }

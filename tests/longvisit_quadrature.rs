@@ -15,10 +15,17 @@
 //!   `DWELL_EPSILON / 2` of their piece; the rest is grid error, which both
 //!   sides share in kind but not in sample points);
 //! * `0 ≤ dwell ≤ te − ts`;
-//! * no threshold count differs from the reference's.
+//! * no threshold count differs from the reference's;
+//! * each case's worst error is no larger than the integrator showed
+//!   before it settled blocks by curvature.
 //!
 //! A pause through a long gap pins the one case where the midpoint of a
 //! block's bounds misprices it: a block straddling a kink of the field.
+//!
+//! The field's own proofs are checked point by point: its bounds, the
+//! door each leg reports as the only one that can be nearest over a
+//! block, and its second-order block mean against a dense midpoint rule
+//! wherever it reports a finite curvature bound.
 //!
 //! `DwellState` must reproduce `object_dwell` bit for bit under the
 //! tracker's row evolution, including an inactive tail and a repair.
@@ -31,12 +38,14 @@
 
 use inflow::core::contrib::snapshot_object_contrib;
 use inflow::core::{object_dwell, DwellState, QueryStats};
-use inflow::geometry::{integration_blocks, integration_probes, GridResolution, Point, Polygon};
+use inflow::geometry::{
+    integration_blocks, integration_probes, Field, GridResolution, Mbr, Point, Polygon,
+};
 use inflow::indoor::{CellKind, DeviceId, FloorPlanBuilder, PoiId};
 use inflow::obs::Recorder;
 use inflow::rtree::RTree;
 use inflow::tracking::{ObjectId, ObjectTrackingTable, OttRow};
-use inflow::uncertainty::{IndoorContext, UrConfig, UrEngine};
+use inflow::uncertainty::{HostCell, IndoorContext, UrConfig, UrEngine};
 use inflow::workload::{generate_synthetic, SyntheticConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,8 +99,8 @@ fn reference_dwell(
 }
 
 /// Checks every object's dwell against the reference over `window` and
-/// the threshold counts at each of `thresholds`; returns the largest
-/// error seen.
+/// the threshold counts at each of `thresholds`, and that the largest
+/// error seen is at most `held`; returns that error.
 fn check(
     label: &str,
     engine: &UrEngine,
@@ -99,6 +108,7 @@ fn check(
     pois: &[PoiId],
     window: (f64, f64),
     thresholds: &[f64],
+    held: f64,
 ) -> f64 {
     let rp = poi_rtree(engine, pois);
     let (ts, te) = window;
@@ -133,8 +143,16 @@ fn check(
     for ((poi, i), (got, want)) in counts {
         assert_eq!(got, want, "{label}: poi {poi:?}: count at d = {} differs", thresholds[i]);
     }
+    assert!(worst <= held, "{label}: worst error {worst:e} exceeds the {held:e} held before");
     worst
 }
+
+/// The worst error against the reference of each case below, as the
+/// integrator measured it when it settled blocks by the midpoint of their
+/// bounds alone. Curvature settling must hold or lower each.
+const HELD_FIXTURE: f64 = 1.544952392578125e-2;
+const HELD_TINY_SYNTHETIC: f64 = 1.6298964095554425e-2;
+const HELD_PAUSE: f64 = 2.6958309256031043e-6;
 
 /// A 40×10 hall with two rooms above it, each entered by one door:
 ///
@@ -197,7 +215,7 @@ fn dwell_matches_time_sampled_reference_for_every_piece_kind() {
         let cfg = UrConfig { vmax: 1.1, topology_check, ..UrConfig::default() };
         let engine = UrEngine::new(Arc::clone(&ctx), cfg);
         let label = format!("fixture, topology {topology_check}");
-        check(&label, &engine, &ott, &pois, (0.0, 40.0), &[1.0, 5.0, 10.0, 20.0]);
+        check(&label, &engine, &ott, &pois, (0.0, 40.0), &[1.0, 5.0, 10.0, 20.0], HELD_FIXTURE);
         // The unbridgeable gap contributes nothing: object 5's dwell is
         // its two records' alone, so the window over the gap is empty.
         let rp = poi_rtree(&engine, &pois);
@@ -216,7 +234,9 @@ fn dwell_matches_time_sampled_reference_on_tiny_synthetic() {
     let cfg = UrConfig { vmax: w.vmax, resolution: GridResolution::COARSE, ..UrConfig::default() };
     let engine = UrEngine::new(Arc::clone(&w.ctx), cfg);
     let pois: Vec<PoiId> = w.ctx.plan().pois().iter().map(|p| p.id).collect();
-    let worst = check("tiny synthetic", &engine, &w.ott, &pois, (100.0, 160.0), &[2.0, 10.0]);
+    let window = (100.0, 160.0);
+    let worst =
+        check("tiny synthetic", &engine, &w.ott, &pois, window, &[2.0, 10.0], HELD_TINY_SYNTHETIC);
     assert!(worst > 0.0, "the reference differs in kind, so some error must show");
 }
 
@@ -240,7 +260,7 @@ fn dwell_of_a_pause_through_a_long_gap_keeps_its_plateau() {
     let rp = poi_rtree(&engine, &[poi]);
     let pause = object_dwell(&engine, &w.ott, ObjectId(9), ts, ts + 30.0, &rp);
     assert!(pause.iter().any(|&(p, d)| p == poi && d > 25.0), "no pause: {pause:?}");
-    check("pause", &engine, &w.ott, &[poi], window, &[10.0, 29.0]);
+    check("pause", &engine, &w.ott, &[poi], window, &[10.0, 29.0], HELD_PAUSE);
 }
 
 /// The incremental serving cache must reproduce the batch integral
@@ -318,98 +338,98 @@ fn incremental_dwell_is_bit_identical_to_batch_under_appends() {
 
 /// One line per (resolution, topology check, object, piece, POI) of the
 /// fixture over `[0, 40]` whose piece reaches the POI: the dwell's `f64`
-/// bits, then the grid blocks and field values the integration cost.
-/// Taken from the integrator before its indicator and field walks were
-/// merged into one.
+/// bits, then the grid blocks and field values the integration cost
+/// (each block settled at its curvature mean counts one value). Taken
+/// when blocks first settled by curvature.
 const FIELD_GOLDEN: &str = "\
 C 1 1 0-30 0 4011d78000000000 421 124\n\
 C 1 2 0-10 0 3ff7ca0000000000 421 124\n\
-C 1 2 10-20 0 4015a930e5ff1603 1269 670\n\
+C 1 2 10-20 0 4015a911ce820b8f 245 120\n\
 C 1 2 10-20 1 0000000000000000 0 0\n\
 C 1 2 10-20 2 3fd208211b2521f3 497 50\n\
 C 1 2 20-30 0 3ff7ca0000000000 421 124\n\
 C 1 3 0-10 0 3ff7ca0000000000 421 124\n\
-C 1 3 10-12 0 3fb0a7240be406dc 853 548\n\
-C 1 3 12-20 0 3ff1df61fcd07e04 557 156\n\
+C 1 3 10-12 0 3fb0a50020de9f4d 501 284\n\
+C 1 3 12-20 0 3ff1df92dc85f9b0 525 164\n\
 C 1 4 0-5 0 3fe7ca0000000000 421 124\n\
-C 1 4 5-25 0 401624db97694947 1205 60\n\
-C 1 4 5-25 1 4010d9f7e52f5c32 469 68\n\
+C 1 4 5-25 0 401624fef24a87e0 245 104\n\
+C 1 4 5-25 1 4010d995e5eb51ba 293 96\n\
 C 1 4 5-25 2 401cbb5a182d11c4 461 64\n\
 C 1 4 25-30 1 3fefb80000000000 421 124\n\
 C 1 5 0-5 0 3fe7ca0000000000 421 124\n\
 C 0 1 0-30 0 4011d78000000000 421 124\n\
 C 0 2 0-10 0 3ff7ca0000000000 421 124\n\
-C 0 2 10-20 0 4015a930e5ff1603 1269 670\n\
+C 0 2 10-20 0 4015a911ce820b8f 245 120\n\
 C 0 2 10-20 1 0000000000000000 0 0\n\
-C 0 2 10-20 2 3fd28af7efe39dd3 525 46\n\
+C 0 2 10-20 2 3fd28aa45e9485b4 181 64\n\
 C 0 2 20-30 0 3ff7ca0000000000 421 124\n\
 C 0 3 0-10 0 3ff7ca0000000000 421 124\n\
-C 0 3 10-12 0 3fb0a7240be406dc 853 548\n\
-C 0 3 12-20 0 3ff1df61fcd07e04 557 156\n\
+C 0 3 10-12 0 3fb0a50020de9f4d 501 284\n\
+C 0 3 12-20 0 3ff1df92dc85f9b0 525 164\n\
 C 0 4 0-5 0 3fe7ca0000000000 421 124\n\
-C 0 4 5-25 0 401b12498515806f 1149 60\n\
-C 0 4 5-25 1 40178002a2cfdbc9 469 68\n\
-C 0 4 5-25 2 401f5ad680221efa 341 0\n\
+C 0 4 5-25 0 401b128785e09ea0 245 104\n\
+C 0 4 5-25 1 40177f77970a617a 293 96\n\
+C 0 4 5-25 2 401f5eabffca0a6a 1 1\n\
 C 0 4 25-30 1 3fefb80000000000 421 124\n\
 C 0 5 0-5 0 3fe7ca0000000000 421 124\n\
 D 1 1 0-30 0 4011bb6000000000 917 252\n\
 D 1 2 0-10 0 3ff7a48000000000 917 252\n\
-D 1 2 10-20 0 40158a17bbc326b0 3949 116\n\
+D 1 2 10-20 0 40158a881a013b9b 485 176\n\
 D 1 2 10-20 1 0000000000000000 0 0\n\
 D 1 2 10-20 2 3fd2096cb02d63d1 697 101\n\
 D 1 2 20-30 0 3ff7a48000000000 917 252\n\
 D 1 3 0-10 0 3ff7a48000000000 917 252\n\
-D 1 3 10-12 0 3fb0b25d1961bcd2 3045 2040\n\
-D 1 3 12-20 0 3ff1c3d0f35ae4dd 1181 320\n\
+D 1 3 10-12 0 3fb0b1ce826fc927 1189 680\n\
+D 1 3 12-20 0 3ff1c401d3106089 1149 328\n\
 D 1 4 0-5 0 3fe7a48000000000 917 252\n\
-D 1 4 5-25 0 401610bca6ef0fe7 1445 116\n\
-D 1 4 5-25 1 4010fa6eddfebcef 741 132\n\
+D 1 4 5-25 0 401610e001d04e80 485 160\n\
+D 1 4 5-25 1 4010fa0cdebab277 565 160\n\
 D 1 4 5-25 2 401cbb46c072c2e4 717 128\n\
 D 1 4 25-30 1 3fef860000000000 917 252\n\
 D 1 5 0-5 0 3fe7a48000000000 917 252\n\
 D 0 1 0-30 0 4011bb6000000000 917 252\n\
 D 0 2 0-10 0 3ff7a48000000000 917 252\n\
-D 0 2 10-20 0 40158a17bbc326b0 3949 116\n\
+D 0 2 10-20 0 40158a881a013b9b 485 176\n\
 D 0 2 10-20 1 0000000000000000 0 0\n\
-D 0 2 10-20 2 3fd28d20dce0ecea 709 93\n\
+D 0 2 10-20 2 3fd28ccd4b91d4cc 365 111\n\
 D 0 2 20-30 0 3ff7a48000000000 917 252\n\
 D 0 3 0-10 0 3ff7a48000000000 917 252\n\
-D 0 3 10-12 0 3fb0b25d1961bcd2 3045 2040\n\
-D 0 3 12-20 0 3ff1c3d0f35ae4dd 1181 320\n\
+D 0 3 10-12 0 3fb0b1ce826fc927 1189 680\n\
+D 0 3 12-20 0 3ff1c401d3106089 1149 328\n\
 D 0 4 0-5 0 3fe7a48000000000 917 252\n\
-D 0 4 5-25 0 401af896f37ea40d 1389 116\n\
-D 0 4 5-25 1 4017aa1ac3e63557 741 132\n\
-D 0 4 5-25 2 401f5ad680221efa 341 0\n\
+D 0 4 5-25 0 401af8d4f449c23d 485 160\n\
+D 0 4 5-25 1 4017a98fb820bb09 565 160\n\
+D 0 4 5-25 2 401f5eabffca0a6a 1 1\n\
 D 0 4 25-30 1 3fef860000000000 917 252\n\
 D 0 5 0-5 0 3fe7a48000000000 917 252\n\
 F 1 1 0-30 0 4011ac4ccccccccd 2585 644\n\
 F 1 2 0-10 0 3ff7906666666667 2585 644\n\
-F 1 2 10-20 0 40158feefce079e3 4723 292\n\
+F 1 2 10-20 0 40159060d251b247 1259 352\n\
 F 1 2 10-20 1 0000000000000000 0 0\n\
 F 1 2 10-20 2 3fd209de9e3f074f 1373 251\n\
 F 1 2 20-30 0 3ff7906666666667 2585 644\n\
 F 1 3 0-10 0 3ff7906666666667 2585 644\n\
-F 1 3 10-12 0 3fb0ba75714ee3d8 12555 960\n\
-F 1 3 12-20 0 3ff1b5145fac51d3 3317 820\n\
+F 1 3 10-12 0 3fb0ba92f390976c 3627 1280\n\
+F 1 3 12-20 0 3ff1b5453f61cd7f 3285 828\n\
 F 1 4 0-5 0 3fe7906666666667 2585 644\n\
-F 1 4 5-25 0 401614a571367d1d 2219 292\n\
-F 1 4 5-25 1 401107b989e740f7 1609 332\n\
+F 1 4 5-25 0 401614c8cc17bbb8 1259 336\n\
+F 1 4 5-25 1 401107578aa3367f 1433 360\n\
 F 1 4 5-25 2 401cbb4365aae7bd 1613 320\n\
 F 1 4 25-30 1 3fef6b3333333334 2585 644\n\
 F 1 5 0-5 0 3fe7906666666667 2585 644\n\
 F 0 1 0-30 0 4011ac4ccccccccd 2585 644\n\
 F 0 2 0-10 0 3ff7906666666667 2585 644\n\
-F 0 2 10-20 0 40158feefce079e3 4723 292\n\
+F 0 2 10-20 0 40159060d251b247 1259 352\n\
 F 0 2 10-20 1 0000000000000000 0 0\n\
-F 0 2 10-20 2 3fd28dd58f9f3845 1321 233\n\
+F 0 2 10-20 2 3fd28d81fe502027 977 251\n\
 F 0 2 20-30 0 3ff7906666666667 2585 644\n\
 F 0 3 0-10 0 3ff7906666666667 2585 644\n\
-F 0 3 10-12 0 3fb0ba75714ee3d8 12555 960\n\
-F 0 3 12-20 0 3ff1b5145fac51d3 3317 820\n\
+F 0 3 10-12 0 3fb0ba92f390976c 3627 1280\n\
+F 0 3 12-20 0 3ff1b5453f61cd7f 3285 828\n\
 F 0 4 0-5 0 3fe7906666666667 2585 644\n\
-F 0 4 5-25 0 401afd9755666808 2163 292\n\
-F 0 4 5-25 1 4017bb51a96f2b9d 1609 332\n\
-F 0 4 5-25 2 401f5ad680221efd 341 0\n\
+F 0 4 5-25 0 401afdd55631863b 1259 336\n\
+F 0 4 5-25 1 4017bac69da9b14d 1433 360\n\
+F 0 4 5-25 2 401f5eabffca0a6c 1 1\n\
 F 0 4 25-30 1 3fef6b3333333334 2585 644\n\
 F 0 5 0-5 0 3fe7906666666667 2585 644\n";
 
@@ -462,4 +482,177 @@ fn field_integrator_bits_and_work_are_pinned() {
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "(res topology object piece poi bits blocks values)");
     }
+}
+
+/// Two 4×4 rooms sharing the wall x = 4, joined by doors at (4, 2) and
+/// (4, 3.5); one device in each room and one near the lower door. POI 0
+/// is room b's east half, where from room a either door can be the
+/// nearer way in.
+fn two_rooms(topology_check: bool) -> UrEngine {
+    let mut b = FloorPlanBuilder::new();
+    let rect = |x0, y0, x1, y1| Polygon::rectangle(Point::new(x0, y0), Point::new(x1, y1));
+    let a = b.add_cell("a", CellKind::Room, rect(0.0, 0.0, 4.0, 4.0));
+    let c = b.add_cell("b", CellKind::Room, rect(4.0, 0.0, 8.0, 4.0));
+    b.add_door("low", Point::new(4.0, 2.0), a, c);
+    b.add_door("high", Point::new(4.0, 3.5), a, c);
+    b.add_device("west", Point::new(1.0, 3.0), 0.5);
+    b.add_device("east", Point::new(6.5, 1.0), 0.5);
+    b.add_device("door", Point::new(3.5, 2.0), 0.4);
+    b.add_poi("east", rect(6.0, 0.0, 8.0, 4.0));
+    let ctx = Arc::new(IndoorContext::new(b.build().unwrap()));
+    UrEngine::new(ctx, UrConfig { vmax: 1.0, topology_check, ..UrConfig::default() })
+}
+
+/// Blocks of four sizes tiling `area`, then thin strips and small squares
+/// in `area` just beyond each device's range, where a distance term
+/// curves most.
+fn blocks_of(area: Mbr, engine: &UrEngine) -> Vec<Mbr> {
+    let mut out = Vec::new();
+    for n in [1usize, 2, 4, 8] {
+        let (w, h) = (area.width() / n as f64, area.height() / n as f64);
+        for j in 0..n {
+            for i in 0..n {
+                let lo = Point::new(area.lo.x + i as f64 * w, area.lo.y + j as f64 * h);
+                out.push(Mbr::new(lo, Point::new(lo.x + w, lo.y + h)));
+            }
+        }
+    }
+    for device in engine.context().plan().devices() {
+        let c = device.detection_circle();
+        for gap in [0.05, 0.3] {
+            let p = c.radius + gap;
+            for (w, h) in [(1.0, 0.02), (0.3, 0.3)] {
+                // Above, below, right of and left of the device.
+                let (x, y) = (c.center.x, c.center.y);
+                for (lo, hi) in [
+                    ((x - w / 2.0, y + p), (x + w / 2.0, y + p + h)),
+                    ((x - w / 2.0, y - p - h), (x + w / 2.0, y - p)),
+                    ((x + p, y - w / 2.0), (x + p + h, y + w / 2.0)),
+                    ((x - p - h, y - w / 2.0), (x - p, y + w / 2.0)),
+                ] {
+                    let blk = Mbr::new(Point::new(lo.0, lo.1), Point::new(hi.0, hi.1));
+                    if area.contains_mbr(&blk) {
+                        out.push(blk);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every bound a piece's time field reports over a block holds at every
+/// sample point of the block:
+///
+/// * the value lies in `[0, b − a]` and under `hi`; it is zero where the
+///   block is proven outside the support, and at least `lo` where it is
+///   proven inside;
+/// * a door a leg reports as the only one that can be nearest over the
+///   block gives the leg's distance at every sample;
+/// * where the curvature bound `quartic` is finite, a dense 32 × 32
+///   midpoint mean of the block lies within `quartic · (w² + h²)² / 576`
+///   of the field's second-order mean, plus the dense rule's own error.
+#[test]
+fn field_bounds_hold_at_every_point_of_their_block() {
+    let row = |d, ts, te| OttRow { object: ObjectId(1), device: DeviceId(d), ts, te };
+    // west → east through a door with 2 s to spare, then the door device
+    // while the east ring still cuts its disk.
+    let ott = ObjectTrackingTable::from_rows(vec![
+        row(0, 0.0, 2.0),
+        row(1, 11.0, 13.0),
+        row(2, 17.0, 20.0),
+    ])
+    .unwrap();
+    let mut verdicts = [0usize; 3];
+    let (mut sources, mut curved) = (0usize, 0usize);
+    for topology_check in [true, false] {
+        let engine = two_rooms(topology_check);
+        let plan = engine.context().plan();
+        let vmax = 1.0;
+        let host = HostCell::of_poi(plan, plan.poi(PoiId(0))).unwrap();
+        for (a, b) in [(2.0, 11.0), (4.0, 9.0), (11.0, 13.0), (17.0, 20.0)] {
+            let state = ott.state_at(ObjectId(1), 0.5 * (a + b)).unwrap();
+            let piece = engine.dwell_piece(&ott, state, a, b);
+            // Without a host over both rooms; with one over room b's east
+            // half, where the host's door rule holds.
+            for (field, area) in [
+                (piece.field(None), Mbr::new(Point::new(0.0, 0.0), Point::new(8.0, 4.0))),
+                (piece.field(Some(host)), Mbr::new(Point::new(6.0, 0.0), Point::new(8.0, 4.0))),
+            ] {
+                for blk in blocks_of(area, &engine) {
+                    let (w, h) = (blk.width(), blk.height());
+                    let ctx = format!("topology {topology_check} [{a}, {b}] {blk:?}");
+                    let fb = field.bounds(&blk);
+                    verdicts[match fb.support {
+                        Some(false) => 0,
+                        None => 1,
+                        Some(true) => 2,
+                    }] += 1;
+                    let legs: Vec<_> = field.legs().map(|leg| (leg, leg.bounds(&blk))).collect();
+                    sources += legs.iter().filter(|(_, lb)| lb.source.is_some()).count();
+                    for s in 0..=6 {
+                        for t in 0..=6 {
+                            let q = Point::new(
+                                blk.lo.x + w * s as f64 / 6.0,
+                                blk.lo.y + h * t as f64 / 6.0,
+                            );
+                            let v = field.value(q);
+                            assert!((0.0..=b - a).contains(&v), "{ctx} at {q}: {v}");
+                            assert!(v <= fb.hi + 1e-9, "{ctx} at {q}: {v} above {fb:?}");
+                            match fb.support {
+                                Some(false) => assert_eq!(v, 0.0, "{ctx} at {q}: {fb:?}"),
+                                Some(true) => {
+                                    assert!(v >= fb.lo - 1e-9, "{ctx} at {q}: {v} below {fb:?}")
+                                }
+                                None => assert!(v == 0.0 || v >= fb.lo - 1e-9, "{ctx}: {fb:?}"),
+                            }
+                            for (leg, lb) in &legs {
+                                let (Some((at, offset)), Some(d)) = (lb.source, leg.distance(q))
+                                else {
+                                    continue;
+                                };
+                                let through = offset + at.distance(q);
+                                assert!(
+                                    (d - through).abs() <= 1e-9,
+                                    "{ctx} at {q}: distance {d}, {through} through {at}"
+                                );
+                            }
+                        }
+                    }
+                    if fb.quartic.is_finite() {
+                        assert_eq!(fb.support, Some(true), "{ctx}: curvature off the support");
+                        curved += 1;
+                        let n = 32;
+                        let mut dense = 0.0;
+                        for j in 0..n {
+                            for i in 0..n {
+                                dense += field.value(Point::new(
+                                    blk.lo.x + w * (i as f64 + 0.5) / n as f64,
+                                    blk.lo.y + h * (j as f64 + 0.5) / n as f64,
+                                ));
+                            }
+                        }
+                        dense /= (n * n) as f64;
+                        let c = Point::new(blk.lo.x + 0.5 * w, blk.lo.y + 0.5 * h);
+                        let mean = field.mean(c, w, h);
+                        let diag = w * w + h * h;
+                        // The dense rule's error: the field's Hessian is at most
+                        // Σ 1/(V_max·ρ) over its at most two distance terms,
+                        // which `quartic` = Σ 1/(V_max·ρ³) bounds by
+                        // 2^(2/3) · (quartic / V_max²)^(1/3); a sub-cell's
+                        // centre value is then off by (w'² + h'²)/24 of it.
+                        let hessian = 2f64.powf(2.0 / 3.0) * (fb.quartic / (vmax * vmax)).cbrt();
+                        let dense_err = diag / (n * n) as f64 / 24.0 * hessian;
+                        let bound = fb.quartic * diag * diag / 576.0;
+                        assert!(
+                            (dense - mean).abs() <= bound + dense_err + 1e-12,
+                            "{ctx}: mean {mean} vs dense {dense} (bound {bound}, dense {dense_err})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(verdicts.iter().all(|&n| n > 0), "every verdict occurs: {verdicts:?}");
+    assert!(sources > 0 && curved > 0, "{sources} single-source legs, {curved} curved blocks");
 }
