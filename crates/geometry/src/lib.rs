@@ -10,7 +10,7 @@
 //!   two consecutive proximity detections;
 //! * [`Polygon`]s modelling POI extents and room footprints, with exact area
 //!   and point-containment tests;
-//! * a composable [`Region`] abstraction (intersection / union / difference)
+//! * a composable [`Region`] abstraction (intersection / union)
 //!   used to express uncertainty regions, whose members can classify whole
 //!   rectangles ([`Region::classify`]);
 //! * one deterministic adaptive-grid walker ([`area`]) with two leaf rules:
@@ -44,8 +44,8 @@ pub use mbr::Mbr;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;
 pub use region::{
-    all_of, any_of, classify_at_most, BoxedRegion, EmptyRegion, HalfPlane, Live, Region,
-    RegionDifference, RegionIntersection, RegionUnion, Verdict,
+    all_of, any_of, classify_at_most, BoxedRegion, EmptyRegion, Live, Region, RegionIntersection,
+    RegionUnion, Verdict,
 };
 pub use ring::Ring;
 pub use segment::Segment;

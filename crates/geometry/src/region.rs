@@ -24,7 +24,7 @@
 use crate::circle::Circle;
 use crate::ellipse::ExtendedEllipse;
 use crate::mbr::Mbr;
-use crate::point::{Point, Vec2};
+use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::ring::Ring;
 use crate::EPS;
@@ -378,35 +378,6 @@ impl Region for EmptyRegion {
     }
 }
 
-/// The closed half-plane on the left of the directed line `a → b`
-/// (including the line itself). Unbounded, so its MBR is the whole plane —
-/// use only inside intersections.
-#[derive(Debug, Clone, Copy)]
-pub struct HalfPlane {
-    pub a: Point,
-    pub b: Point,
-}
-
-impl HalfPlane {
-    /// The half-plane to the left of the line through `a` and `b`.
-    pub fn left_of(a: Point, b: Point) -> HalfPlane {
-        HalfPlane { a, b }
-    }
-}
-
-impl Region for HalfPlane {
-    fn contains(&self, p: Point) -> bool {
-        (self.b - self.a).cross(p - self.a) >= -crate::EPS
-    }
-    fn mbr(&self) -> Mbr {
-        let inf = f64::INFINITY;
-        Mbr::from_bounds(Point::new(-inf, -inf), Point::new(inf, inf))
-    }
-    fn is_empty_hint(&self) -> bool {
-        false
-    }
-}
-
 /// Intersection of several regions: membership in all of them. The MBR is
 /// the intersection of the member MBRs.
 pub struct RegionIntersection {
@@ -495,52 +466,6 @@ impl Region for RegionUnion {
     }
 }
 
-/// Set difference `base \ subtracted`.
-pub struct RegionDifference {
-    base: BoxedRegion,
-    subtracted: BoxedRegion,
-}
-
-impl RegionDifference {
-    /// Builds `base \ subtracted`.
-    pub fn new(base: BoxedRegion, subtracted: BoxedRegion) -> RegionDifference {
-        RegionDifference { base, subtracted }
-    }
-}
-
-impl Region for RegionDifference {
-    fn contains(&self, p: Point) -> bool {
-        self.base.contains(p) && !self.subtracted.contains(p)
-    }
-    fn mbr(&self) -> Mbr {
-        self.base.mbr()
-    }
-    fn is_empty_hint(&self) -> bool {
-        self.base.is_empty_hint()
-    }
-}
-
-/// A region transformed by translation; handy for tests and for reusing
-/// canonical shapes.
-pub struct TranslatedRegion<R> {
-    pub inner: R,
-    pub delta: Vec2,
-}
-
-impl<R: Region> Region for TranslatedRegion<R> {
-    fn contains(&self, p: Point) -> bool {
-        self.inner.contains(p - self.delta)
-    }
-    fn mbr(&self) -> Mbr {
-        let m = self.inner.mbr();
-        if m.is_empty() {
-            m
-        } else {
-            Mbr::from_bounds(m.lo + self.delta, m.hi + self.delta)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,33 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn difference_subtracts() {
-        let d = RegionDifference::new(Box::new(disk(0.0, 0.0, 2.0)), Box::new(disk(0.0, 0.0, 1.0)));
-        assert!(!d.contains(Point::new(0.0, 0.0)));
-        assert!(d.contains(Point::new(1.5, 0.0)));
-        assert!(!d.contains(Point::new(2.5, 0.0)));
-    }
-
-    #[test]
-    fn half_plane_sides() {
-        let h = HalfPlane::left_of(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
-        assert!(h.contains(Point::new(0.0, 1.0)));
-        assert!(h.contains(Point::new(5.0, 0.0))); // on the line
-        assert!(!h.contains(Point::new(0.0, -1.0)));
-    }
-
-    #[test]
     fn empty_region_contains_nothing() {
         assert!(!EmptyRegion.contains(Point::new(0.0, 0.0)));
         assert!(EmptyRegion.is_empty_hint());
-    }
-
-    #[test]
-    fn translated_region_moves_membership() {
-        let t = TranslatedRegion { inner: disk(0.0, 0.0, 1.0), delta: Vec2::new(5.0, 0.0) };
-        assert!(t.contains(Point::new(5.0, 0.0)));
-        assert!(!t.contains(Point::new(0.0, 0.0)));
-        assert!(t.mbr().contains(Point::new(6.0, 0.0)));
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! A lightweight AST over the token stream: items parsed by recursive
 //! descent, and per-`fn` *facts* — call sites with the set of mutex
 //! guards live at each one, lock-acquisition sites, blocking-I/O sites
-//! and panic sites. This is the substrate the interprocedural rules
-//! (IL006–IL009, and the deepened IL002/IL003) walk via
-//! [`crate::callgraph`].
-//!
-//! [`parse_fns`] is deliberately an *independent* implementation of the
-//! `fn` indexing that [`crate::items`] does with a linear scan and an
-//! impl stack: this one descends brace trees recursively. The two must
-//! agree on every workspace file — `tests/span_parity.rs` holds them to
-//! that — so a parser bug shows up as a disagreement, not a silently
-//! wrong call graph.
+//! and panic sites. [`parse_fns`] runs once per file (in
+//! [`crate::rules::SourceFile::new`]); IL005, IL008 and the call graph
+//! that the interprocedural rules (IL002, IL003, IL006, IL009) walk via
+//! [`crate::callgraph`] all read its output.
 
 use crate::lexer::{Tok, TokKind};
 use crate::rules::stmt_start;
 
-/// One `fn` item as seen by the recursive-descent parser. Field meanings
-/// match [`crate::items::FnItem`] exactly (that is the point).
+/// One `fn` item as seen by the recursive-descent parser.
 #[derive(Debug, Clone)]
 pub struct AstFn {
     pub name: String,
+    /// Bare `pub` only — `pub(crate)` / `pub(super)` are internal and do
+    /// not make a fn an entry point.
+    pub is_pub: bool,
     /// Name of the enclosing `impl` target type, if any.
     pub impl_type: Option<String>,
     pub line: u32,
@@ -57,9 +53,7 @@ fn walk(toks: &[Tok], mut i: usize, end: usize, impl_ty: Option<&str>, out: &mut
                 let after = match item.body {
                     Some((open, close)) => {
                         out.push(item.clone());
-                        // Nested fns keep the enclosing impl context, the
-                        // same resolution `items.rs`'s depth-keyed impl
-                        // stack produces.
+                        // Nested fns keep the enclosing impl context.
                         walk(toks, open, close, impl_ty, out);
                         close + 1
                     }
@@ -131,6 +125,17 @@ fn fn_item(toks: &[Tok], fn_idx: usize, end: usize, impl_ty: Option<&str>) -> Op
     if name_tok.kind != TokKind::Ident {
         return None;
     }
+    // Visibility: one token back, through `async`/`unsafe`/`const`/
+    // `extern` qualifiers. `pub(crate) fn` puts `)` there and reads as
+    // not-pub.
+    let mut k = fn_idx;
+    while k > 0
+        && toks[k - 1].kind == TokKind::Ident
+        && matches!(toks[k - 1].text.as_str(), "async" | "unsafe" | "const" | "extern")
+    {
+        k -= 1;
+    }
+    let is_pub = k > 0 && toks[k - 1].is_ident("pub");
     // Signature runs to the body `{` at zero paren/bracket nesting, or to
     // a `;` (bodyless trait declaration) at zero angle nesting too. The
     // `>` of `->` is guarded so return types don't unbalance the count.
@@ -150,6 +155,7 @@ fn fn_item(toks: &[Tok], fn_idx: usize, end: usize, impl_ty: Option<&str>) -> Op
             (TokKind::Punct, ";") if nest == 0 && angle == 0 => {
                 return Some(AstFn {
                     name: name_tok.text.clone(),
+                    is_pub,
                     impl_type: impl_ty.map(str::to_string),
                     line: name_tok.line,
                     in_test: name_tok.in_test,
@@ -167,6 +173,7 @@ fn fn_item(toks: &[Tok], fn_idx: usize, end: usize, impl_ty: Option<&str>) -> Op
     let close = matching_brace_in(toks, j, end)?;
     Some(AstFn {
         name: name_tok.text.clone(),
+        is_pub,
         impl_type: impl_ty.map(str::to_string),
         line: name_tok.line,
         in_test: name_tok.in_test,
@@ -452,17 +459,27 @@ mod tests {
         let toks = lex("
             pub fn free(a: u32) -> Vec<(u32, f64)> { a; inner() }
             impl<'a> Facade<'a> {
-                pub fn method(&self) -> f64 { 0.0 }
+                pub fn method(&self) -> f64 { if x { 1.0 } else { 0.0 } }
+                pub(crate) fn internal(&self) {}
+                pub const unsafe fn qualified() {}
             }
             impl Ord for Item { fn cmp(&self, o: &Self) -> Ordering { todo() } }
-            trait T { fn decl(&self); }
+            trait T { fn decl(&self); fn with_default(&self) {} }
         ");
         let fns = parse_fns(&toks);
         let by = |n: &str| fns.iter().find(|f| f.name == n).expect("parsed");
+        assert!(by("free").is_pub);
         assert!(by("free").impl_type.is_none());
         assert_eq!(by("method").impl_type.as_deref(), Some("Facade"));
+        assert!(by("method").is_pub);
+        assert!(!by("internal").is_pub, "pub(crate) is not pub");
+        // A sibling after a body with nested braces keeps its impl type.
+        assert_eq!(by("internal").impl_type.as_deref(), Some("Facade"));
+        assert!(by("qualified").is_pub);
         assert_eq!(by("cmp").impl_type.as_deref(), Some("Item"));
+        assert!(!by("cmp").is_pub);
         assert!(by("decl").body.is_none());
+        assert!(by("with_default").body.is_some());
     }
 
     #[test]

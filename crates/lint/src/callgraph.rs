@@ -6,14 +6,14 @@
 //! `x.apply(..)` with an unknown receiver type links to *every* `apply`
 //! method in the workspace. For reachability lints that over-approximation
 //! is the safe direction — a missing edge hides a deadlock, a spurious one
-//! costs at worst an allowlist entry. The main noise dampener is the
+//! costs at worst an audited-leaf exemption. The main noise dampener is the
 //! [`SKIP_METHODS`] list of ubiquitous trait methods (`next`, `clone`,
 //! `fmt`, …) whose name-level fan-out would connect everything to
 //! everything while proving nothing. A method call's fallback to free
 //! fns of the same name stays inside what the caller's crate can reach:
 //! itself and the workspace crates it names, transitively ([`crate_deps`]).
 
-use crate::ast::{extract_facts, parse_fns, Callee, FnFacts};
+use crate::ast::{extract_facts, Callee, FnFacts};
 use crate::lexer::TokKind;
 use crate::rules::SourceFile;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -93,15 +93,15 @@ impl CallGraph {
     pub fn build(files: &[SourceFile]) -> CallGraph {
         let mut nodes = Vec::new();
         for f in files {
-            for item in parse_fns(&f.toks) {
+            for item in &f.fns {
                 if item.in_test {
                     continue;
                 }
                 let Some(body) = item.body else { continue };
                 let facts = extract_facts(&f.toks, body);
                 nodes.push(Node {
-                    name: item.name,
-                    impl_type: item.impl_type,
+                    name: item.name.clone(),
+                    impl_type: item.impl_type.clone(),
                     file: f.rel.clone(),
                     line: item.line,
                     facts,

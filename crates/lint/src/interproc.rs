@@ -1,5 +1,5 @@
-//! The interprocedural rules: deepened IL002/IL003 (reachability instead
-//! of file-local patterns, with full witnessing call chains), IL006
+//! The interprocedural rules: IL002 and deepened IL003 (reachability
+//! instead of file-local patterns, with full witnessing call chains), IL006
 //! lock-order cycles, and IL009 delta-loop purity. All walk the
 //! [`crate::callgraph::CallGraph`].
 //!
@@ -29,14 +29,15 @@ fn better_chain(candidate: &str, incumbent: &str) -> bool {
     c < i || (c == i && candidate < incumbent)
 }
 
-// ---------------------------------------------------------------- IL002 deep
+// ---------------------------------------------------------------- IL002
 
-/// Deepened IL002: explicit panic sites (`unwrap`/`expect`/panic macros —
-/// not indexing, which stays file-local) reachable from any fn in the
-/// IL002-scoped files, reported at the site with the witnessing chain.
-/// Sites *inside* scoped files are excluded — the file-local pass already
-/// reports those — and so are the audited leaves (sync/metrics/obs),
-/// whose panics are structural invariants reviewed in place.
+/// IL002: explicit panic sites (`unwrap`/`expect`/panic macros — not
+/// indexing) reachable from any fn in the IL002-scoped files, reported at
+/// the site with the witnessing chain. Clippy cannot follow a call chain,
+/// so this is the half of IL002 it leaves. Sites *inside* scoped files
+/// are excluded — clippy's panic lints, denied at those module roots,
+/// reject them — and so are the audited leaves (sync/metrics/obs), whose
+/// panics are structural invariants reviewed in place.
 pub fn il002_reachable_panics(g: &CallGraph, out: &mut Vec<Finding>) {
     // (site file, line) -> (chain, what) keeping the best witness.
     let mut best: HashMap<(String, u32), (String, String)> = HashMap::new();

@@ -2,41 +2,38 @@
 //! workspace's source-level invariants.
 //!
 //! The serving and storage layers rest on properties no unit test can
-//! pin down exhaustively: panic-freedom in durable paths (IL002), no
-//! mutex guard held across I/O (IL003), a single definition per format
-//! magic (IL004), and observability coverage of query entry points
-//! (IL005). This crate lexes every workspace source (no syn, no external
-//! dependencies — same discipline as `crates/obs`) and enforces those as
-//! typed, stably-numbered lints with a reasoned `lint.allow` baseline.
+//! pin down exhaustively: no panic reachable from a durable path through
+//! a call chain (IL002), no mutex guard held across I/O (IL003), a
+//! single definition per format magic (IL004), and observability
+//! coverage of query entry points (IL005). This crate lexes every
+//! workspace source (no syn, no external dependencies — same discipline
+//! as `crates/obs`) and enforces those as typed, stably-numbered lints.
+//! Exemptions live in the rule that grants them, never in a side file.
 //!
-//! On top of the token-level catalog sit the *interprocedural* rules:
-//! [`ast`] parses items and extracts per-`fn` facts (calls, lock sites,
-//! I/O sites, panic sites), [`callgraph`] resolves a workspace call
-//! graph over them, [`interproc`] implements lock-order cycles (IL006),
-//! delta-loop purity (IL009) and the call-chain deepenings of
+//! [`ast`] parses `fn` items once per file and extracts per-`fn` facts
+//! (calls, lock sites, I/O sites, panic sites), [`callgraph`] resolves a
+//! workspace call graph over them, [`interproc`] implements lock-order
+//! cycles (IL006), delta-loop purity (IL009) and the call-chain rules
 //! IL002/IL003, and [`wire`] flags unchecked wire arithmetic (IL008).
 //! IL007 is retired: `tests/wire_format.rs` pins the wire format by its
-//! bytes. IL001 (no `partial_cmp`) and IL004's raw-parse half (no
-//! `from_le_bytes` outside `store/frame.rs`) moved to clippy's
-//! `disallowed_methods` in `clippy.toml`.
+//! bytes. Rules with an exact clippy counterpart moved to clippy: IL001
+//! (no `partial_cmp`) and IL004's raw-parse half (no `from_le_bytes`
+//! outside `store/frame.rs`) are `disallowed_methods` in `clippy.toml`,
+//! and IL002's file-local half is the `#![deny(clippy::unwrap_used, …)]`
+//! at the roots of `crates/service` and `crates/tracking/src/store`.
 //!
 //! Library layout: [`lexer`] turns source text into a token stream with
-//! test-scope flags, [`items`] indexes `fn` items for the call-graph
-//! lint, [`rules`] implements IL002–IL005 over those and drives the
-//! whole catalog, and [`allow`] handles the baseline file.
-//! [`collect_sources`] + [`analyze`] is the whole pipeline; the binary
-//! in `main.rs` adds flags and exit codes.
+//! test-scope flags, and [`rules`] implements IL003–IL005 over it and
+//! drives the whole catalog. [`collect_sources`] + [`analyze`] is the
+//! whole pipeline; the binary in `main.rs` adds exit codes.
 
-pub mod allow;
 pub mod ast;
 pub mod callgraph;
 pub mod interproc;
-pub mod items;
 pub mod lexer;
 pub mod rules;
 pub mod wire;
 
-pub use allow::Allowlist;
 pub use rules::{analyze, Finding, SourceFile};
 
 use std::io;
@@ -108,32 +105,4 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Minimal JSON string escaping for `--json` output.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 }

@@ -1,14 +1,14 @@
-//! The file-local lint rules, IL002–IL005, and [`analyze`], which runs
+//! The file-local lint rules, IL003–IL005, and [`analyze`], which runs
 //! the whole catalog: IL002–IL006, IL008 and IL009.
 //!
 //! Every file-local rule works on the token stream from
-//! [`crate::lexer`] (plus the fn index from [`crate::items`] for IL005),
-//! operates only on non-test tokens, and emits [`Finding`]s carrying a
-//! stable lint ID, `file:line` and a one-line fix hint. Rules are
-//! heuristic by design — they favor the occasional reasoned
-//! `lint.allow` entry over missed violations.
+//! [`crate::lexer`] (plus the parsed `fn` items of [`crate::ast`] for
+//! IL005), operates only on non-test tokens, and emits [`Finding`]s
+//! carrying a stable lint ID, `file:line` and a one-line fix hint.
+//! Rules are heuristic by design; an exemption is written into the rule
+//! that grants it.
 
-use crate::items::{index_fns, FnItem};
+use crate::ast::{parse_fns, AstFn};
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::{HashMap, HashSet};
 
@@ -18,13 +18,14 @@ pub struct SourceFile {
     /// e.g. `crates/core/src/query.rs`.
     pub rel: String,
     pub toks: Vec<Tok>,
-    pub fns: Vec<FnItem>,
+    /// Every `fn` item of the file, test fns included, parsed once.
+    pub fns: Vec<AstFn>,
 }
 
 impl SourceFile {
     pub fn new(rel: impl Into<String>, src: &str) -> Self {
         let toks = lex(src);
-        let fns = index_fns(&toks);
+        let fns = parse_fns(&toks);
         SourceFile { rel: rel.into(), toks, fns }
     }
 }
@@ -54,7 +55,6 @@ impl Finding {
 pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
-        il002_panic_freedom(f, &mut out);
         il003_guard_across_io(f, &mut out);
         il004_format_magic(f, &mut out);
     }
@@ -62,7 +62,7 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Finding> {
     il005_service_coverage(files, &mut out);
     il005_subkind_counter_coverage(files, &mut out);
     // The interprocedural catalog: a shared call graph, then the
-    // reachability rules (deepened IL002/IL003, IL006, IL009), then
+    // reachability rules (IL002, deepened IL003, IL006, IL009), then
     // unchecked wire arithmetic (IL008).
     let graph = crate::callgraph::CallGraph::build(files);
     crate::interproc::il002_reachable_panics(&graph, &mut out);
@@ -99,102 +99,14 @@ pub(crate) fn stmt_start(toks: &[Tok], i: usize) -> usize {
 
 /// Paths whose non-test code must be panic-free: the serving layer and
 /// the durable store. A panic here poisons locks, kills shard threads,
-/// or aborts mid-write — exactly the failures PR 3/PR 4 hardened against.
+/// or aborts mid-write. Sites inside these paths are clippy's
+/// (`#![deny(clippy::unwrap_used, …)]` at their module roots); IL002
+/// reports the panics they reach through calls to code outside them.
 pub(crate) fn il002_in_scope(rel: &str) -> bool {
     rel.starts_with("crates/service/src/") || rel.starts_with("crates/tracking/src/store/")
 }
 
 pub(crate) const IL002_PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Identifiers that legitimately precede a `[` without it being an
-/// index expression (slice *types* and patterns, not element access).
-const IL002_NONINDEX_PREV: [&str; 15] = [
-    "mut", "ref", "dyn", "impl", "as", "in", "return", "break", "const", "static", "else", "match",
-    "move", "where", "let",
-];
-
-fn il002_panic_freedom(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !il002_in_scope(&f.rel) {
-        return;
-    }
-    let toks = &f.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-            let next_paren = matches!(toks.get(i + 1), Some(n) if n.is_punct("("));
-            if t.text == "unwrap" && prev_dot && next_paren {
-                out.push(Finding {
-                    lint: "IL002",
-                    path: f.rel.clone(),
-                    line: t.line,
-                    message: "possible panic: `.unwrap()` in a durable/serving path".into(),
-                    hint: IL002_HINT_ERR,
-                });
-                continue;
-            }
-            if t.text == "expect"
-                && prev_dot
-                && next_paren
-                && matches!(toks.get(i + 2), Some(n) if n.kind == TokKind::Str)
-            {
-                out.push(Finding {
-                    lint: "IL002",
-                    path: f.rel.clone(),
-                    line: t.line,
-                    message: "possible panic: `.expect(..)` in a durable/serving path".into(),
-                    hint: IL002_HINT_ERR,
-                });
-                continue;
-            }
-            if IL002_PANIC_MACROS.contains(&t.text.as_str())
-                && matches!(toks.get(i + 1), Some(n) if n.is_punct("!"))
-            {
-                out.push(Finding {
-                    lint: "IL002",
-                    path: f.rel.clone(),
-                    line: t.line,
-                    message: format!("possible panic: `{}!(..)` in a durable/serving path", t.text),
-                    hint: "return a typed error and let the caller decide; \
-                           if aborting is genuinely intended, allowlist with a reason",
-                });
-                continue;
-            }
-        }
-        // Unchecked indexing: `expr[..]` where expr ends in an identifier,
-        // `)` or `]`. Type positions (`&[u8]`, `-> [u8; 4]`) put a punct
-        // or excluded keyword before the bracket and are skipped, as is
-        // the never-panicking full-range `[..]`.
-        if t.is_punct("[") && i > 0 {
-            let prev = &toks[i - 1];
-            let indexes = match prev.kind {
-                TokKind::Ident => !IL002_NONINDEX_PREV.contains(&prev.text.as_str()),
-                TokKind::Punct => prev.text == ")" || prev.text == "]",
-                _ => false,
-            };
-            let full_range = matches!(
-                (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3)),
-                (Some(a), Some(b), Some(c))
-                    if a.is_punct(".") && b.is_punct(".") && c.is_punct("]")
-            );
-            if indexes && !full_range {
-                out.push(Finding {
-                    lint: "IL002",
-                    path: f.rel.clone(),
-                    line: t.line,
-                    message: "unchecked indexing can panic on out-of-bounds".into(),
-                    hint: "use .get()/.get_mut() or a length-checked accessor \
-                           (frame::Cursor) and propagate the error",
-                });
-            }
-        }
-    }
-}
-
-const IL002_HINT_ERR: &str = "propagate a typed error (StoreError / io::Error) or \
-                              recover explicitly (e.g. sync::lock_or_recover for mutexes)";
 
 // ---------------------------------------------------------------- IL003
 
@@ -386,7 +298,7 @@ fn sig_mentions(toks: &[Tok], sig: (usize, usize), name: &str) -> bool {
 /// does it call?
 struct Il005Node<'a> {
     file: &'a SourceFile,
-    item: &'a FnItem,
+    item: &'a AstFn,
     records: bool,
     calls: Vec<String>,
 }

@@ -6,14 +6,13 @@
 //! `Vec::with_capacity(n as usize)` class of bug. The wire layouts
 //! themselves are pinned by their bytes in `tests/wire_format.rs`.
 
-use crate::ast::parse_fns;
 use crate::lexer::{Tok, TokKind};
 use crate::rules::{Finding, SourceFile};
 use std::collections::HashSet;
 
 /// The framing module is the sanctioned raw-parse layer; its own
 /// arithmetic sits behind explicit bounds checks and is exempt from
-/// IL008 (consistent with its IL002/IL004 treatment).
+/// IL008 (as it is from clippy's `indexing_slicing` and `disallowed_methods`).
 const FRAME_MODULE: &str = "crates/tracking/src/store/frame.rs";
 
 /// Statement ranges `[lo, hi)` within a body: split on `;`, `{`, `}`.
@@ -62,7 +61,7 @@ pub fn il008_wire_arithmetic(files: &[SourceFile], out: &mut Vec<Finding>) {
         if file.rel == FRAME_MODULE {
             continue;
         }
-        for item in parse_fns(&file.toks) {
+        for item in &file.fns {
             if item.in_test {
                 continue;
             }

@@ -392,10 +392,9 @@ const BUCKETS: usize = 44;
 /// Bucket `i` holds observations in `[2^i, 2^(i+1))` (bucket 0 also
 /// takes 0); the top bucket absorbs everything from `2^43` up. The
 /// histogram itself is **unit-neutral** — the unit belongs to whatever
-/// the caller observes into it. Latency callers observe nanoseconds
-/// and read through the `*_ns` aliases; value callers (queue depths,
-/// batch sizes) use the unsuffixed accessors. 44 buckets cover ~4.8
-/// hours of nanoseconds — effectively unbounded for per-operation
+/// the caller observes into it: latency callers observe nanoseconds,
+/// value callers queue depths or batch sizes, and both read the same
+/// accessors. 44 buckets cover ~4.8 hours of nanoseconds — effectively unbounded for per-operation
 /// latencies. Fixed-size and allocation-free so closures on hot paths
 /// can own one locally and merge it into the recorder afterwards.
 #[derive(Debug, Clone)]
@@ -472,22 +471,6 @@ impl Histogram {
         self.max_ns
     }
 
-    pub fn sum_ns(&self) -> u64 {
-        self.sum()
-    }
-
-    pub fn mean_ns(&self) -> u64 {
-        self.mean()
-    }
-
-    pub fn min_ns(&self) -> u64 {
-        self.minimum()
-    }
-
-    pub fn max_ns(&self) -> u64 {
-        self.maximum()
-    }
-
     /// Quantile estimate (`q` in `[0, 1]`): upper edge of the bucket
     /// containing the q-th observation, clamped to the observed max.
     /// Log₂ buckets bound the relative error by 2×, which is plenty for
@@ -505,10 +488,6 @@ impl Histogram {
             }
         }
         self.max_ns
-    }
-
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        self.quantile(q)
     }
 
     /// Inclusive `(lo, hi)` value bounds of bucket `i`. Bucket 0 is
@@ -571,20 +550,20 @@ mod tests {
     #[test]
     fn histogram_stats() {
         let mut h = Histogram::new();
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.quantile_ns(0.5), 0);
+        assert_eq!(h.mean(), 0);
+        assert_eq!(h.quantile(0.5), 0);
         for ns in [100u64, 200, 400, 800, 100_000] {
             h.observe(ns);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum_ns(), 101_500);
-        assert_eq!(h.min_ns(), 100);
-        assert_eq!(h.max_ns(), 100_000);
+        assert_eq!(h.sum(), 101_500);
+        assert_eq!(h.minimum(), 100);
+        assert_eq!(h.maximum(), 100_000);
         // Median falls in the bucket containing 400 ([256, 512)).
-        let p50 = h.quantile_ns(0.5);
+        let p50 = h.quantile(0.5);
         assert!((256..=511).contains(&p50), "p50 {p50}");
         // The tail quantile is clamped to the observed max.
-        assert_eq!(h.quantile_ns(1.0), 100_000);
+        assert_eq!(h.quantile(1.0), 100_000);
     }
 
     #[test]
@@ -602,10 +581,10 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), c.count());
-        assert_eq!(a.sum_ns(), c.sum_ns());
-        assert_eq!(a.min_ns(), c.min_ns());
-        assert_eq!(a.max_ns(), c.max_ns());
-        assert_eq!(a.quantile_ns(0.9), c.quantile_ns(0.9));
+        assert_eq!(a.sum(), c.sum());
+        assert_eq!(a.minimum(), c.minimum());
+        assert_eq!(a.maximum(), c.maximum());
+        assert_eq!(a.quantile(0.9), c.quantile(0.9));
     }
 
     #[test]
@@ -623,9 +602,6 @@ mod tests {
         assert_eq!(buckets[2].2, 1);
         let total: u64 = buckets.iter().map(|&(_, _, n)| n).sum();
         assert_eq!(total, h.count());
-        // Unit-neutral accessors agree with the ns-suffixed aliases.
-        assert_eq!(h.mean(), h.mean_ns());
-        assert_eq!(h.quantile(0.5), h.quantile_ns(0.5));
     }
 
     #[test]
@@ -634,7 +610,7 @@ mod tests {
         h.observe(0);
         h.observe(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.min_ns(), 0);
-        assert_eq!(h.max_ns(), u64::MAX);
+        assert_eq!(h.minimum(), 0);
+        assert_eq!(h.maximum(), u64::MAX);
     }
 }

@@ -185,11 +185,11 @@ impl Recorder {
             .map(|(&t, h)| TimerSummary {
                 name: t.name(),
                 count: h.count(),
-                total_ns: h.sum_ns(),
-                mean_ns: h.mean_ns(),
-                p50_ns: h.quantile_ns(0.5),
-                p95_ns: h.quantile_ns(0.95),
-                max_ns: h.max_ns(),
+                total_ns: h.sum(),
+                mean_ns: h.mean(),
+                p50_ns: h.quantile(0.5),
+                p95_ns: h.quantile(0.95),
+                max_ns: h.maximum(),
                 buckets: h.nonzero_buckets(),
             })
             .collect();

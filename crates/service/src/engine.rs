@@ -31,8 +31,8 @@ use crate::metrics::ServiceMetrics;
 use crate::protocol::{self, hash_ranked, tag, Resume, SubKind, SubSpec};
 use crate::shard::DeltaBatch;
 use inflow_core::{
-    object_interval_flows, object_snapshot_flows, rank_topk, CountDistribution, DistribQuery,
-    DistribState, DwellState, FlowAnalytics, IntervalQuery, LongVisitQuery, SnapshotQuery,
+    object_interval_flows, object_snapshot_flows, rank_topk, DistribQuery, DistribState,
+    DwellState, FlowAnalytics, IntervalQuery, LongVisitQuery, SnapshotQuery,
 };
 use inflow_indoor::PoiId;
 use inflow_obs::{Counter, FlightEventKind, FlightRecorder, Hop, TraceChain};
@@ -119,16 +119,7 @@ struct Sub {
     rp: RTree<PoiId>,
     /// Per-object contributions `(poi, presence)`; absent = empty.
     contrib: HashMap<ObjectId, Vec<(PoiId, f64)>>,
-    /// Per-object incremental dwell caches (long-visit subscriptions
-    /// only): the settled prefix of the dwell integral, so per-delta
-    /// recompute touches only the tail of the window. Entries are
-    /// dropped whenever a delta rewrites an object's history instead of
-    /// appending to it.
-    dwell: HashMap<ObjectId, DwellState>,
-    /// Incremental per-POI score cache (distrib subscriptions only):
-    /// refolds a POI's Poisson binomial only when a delta touched it,
-    /// kept in sync with `contrib` by [`Sub::store_contrib`].
-    distrib: Option<DistribState>,
+    state: SubState,
     /// The current materialized top-k (updated on every refresh, sent or
     /// not).
     current: Vec<(PoiId, f64)>,
@@ -140,6 +131,33 @@ struct Sub {
     writer: Sender<Vec<u8>>,
 }
 
+/// What a subscription keeps besides its contribution map, by kind.
+enum SubState {
+    /// Snapshot and interval: flows are re-summed from `contrib`.
+    Flow,
+    /// Incremental per-POI score cache: refolds a POI's Poisson binomial
+    /// only when a delta touched it, kept in sync with `contrib` by
+    /// [`Sub::store_contrib`].
+    Distrib(DistribState),
+    /// Per-object incremental dwell caches: the settled prefix of the
+    /// dwell integral, so per-delta recompute touches only the tail of
+    /// the window. Entries are dropped whenever a delta rewrites an
+    /// object's history instead of appending to it.
+    LongVisit(HashMap<ObjectId, DwellState>),
+}
+
+impl SubState {
+    fn of(kind: SubKind) -> SubState {
+        match kind {
+            SubKind::Snapshot { .. } | SubKind::Interval { .. } => SubState::Flow,
+            SubKind::Distrib { kq, kmax, .. } => {
+                SubState::Distrib(DistribState::new(kq as usize, kmax as usize))
+            }
+            SubKind::LongVisit { .. } => SubState::LongVisit(HashMap::new()),
+        }
+    }
+}
+
 impl Sub {
     /// Whether a delta with this affected start can change the result.
     fn affected_by(&self, affected_start: f64) -> bool {
@@ -149,7 +167,7 @@ impl Sub {
     /// Installs one object's recomputed contribution, keeping the
     /// distrib score cache in sync with the contribution map.
     fn store_contrib(&mut self, object: ObjectId, contrib: Vec<(PoiId, f64)>) {
-        if let Some(state) = &mut self.distrib {
+        if let SubState::Distrib(state) = &mut self.state {
             let old = self.contrib.get(&object).map(Vec::as_slice).unwrap_or(&[]);
             state.update(object, old, &contrib);
         }
@@ -172,64 +190,35 @@ impl Sub {
     /// * `LongVisit`: per-POI count of objects whose stored dwell
     ///   reaches `d` (integer increments — drift-free by construction).
     fn rank(&mut self) -> Vec<(PoiId, f64)> {
-        let mut objects: Vec<ObjectId> = self.contrib.keys().copied().collect();
-        objects.sort_unstable();
-        let scores: Vec<(PoiId, f64)> = match self.kind {
-            SubKind::Snapshot { .. } | SubKind::Interval { .. } => {
-                let mut flows: HashMap<PoiId, f64> = self.pois.iter().map(|&p| (p, 0.0)).collect();
-                for o in objects {
-                    let Some(contrib) = self.contrib.get(&o) else { continue };
-                    for &(p, presence) in contrib {
-                        // contrib_of only ever yields POIs from the query
-                        // set; a stranger POI is skipped rather than
-                        // trusted with a panic.
-                        if let Some(flow) = flows.get_mut(&p) {
-                            *flow += presence;
-                        }
-                    }
-                }
-                flows.into_iter().collect()
+        let scores = match (self.kind, &mut self.state) {
+            // Refold only the POIs deltas touched since the last rank
+            // (kept in sync by `store_contrib`).
+            (_, SubState::Distrib(state)) => state.scores(&self.pois),
+            (SubKind::LongVisit { d, .. }, _) => {
+                self.sum_per_poi(|dwell| if dwell >= d { 1.0 } else { 0.0 })
             }
-            SubKind::Distrib { kq, kmax, .. } => match &mut self.distrib {
-                // Fast path: refold only the POIs deltas touched since
-                // the last rank (kept in sync by `store_contrib`).
-                Some(state) => state.scores(&self.pois),
-                // Reference fold, bit-identical to the fast path: every
-                // POI's Poisson binomial from scratch, candidates in
-                // ascending object-id order.
-                None => {
-                    let mut dists: HashMap<PoiId, CountDistribution> = self
-                        .pois
-                        .iter()
-                        .map(|&p| (p, CountDistribution::new(kmax as usize)))
-                        .collect();
-                    for o in objects {
-                        let Some(contrib) = self.contrib.get(&o) else { continue };
-                        for &(p, presence) in contrib {
-                            if let Some(dist) = dists.get_mut(&p) {
-                                dist.push(presence);
-                            }
-                        }
-                    }
-                    dists.into_iter().map(|(p, d)| (p, d.p_ge(kq as usize))).collect()
-                }
-            },
-            SubKind::LongVisit { d, .. } => {
-                let mut counts: HashMap<PoiId, f64> = self.pois.iter().map(|&p| (p, 0.0)).collect();
-                for o in objects {
-                    let Some(contrib) = self.contrib.get(&o) else { continue };
-                    for &(p, dwell) in contrib {
-                        if dwell >= d {
-                            if let Some(count) = counts.get_mut(&p) {
-                                *count += 1.0;
-                            }
-                        }
-                    }
-                }
-                counts.into_iter().collect()
-            }
+            _ => self.sum_per_poi(|presence| presence),
         };
         rank_topk(scores, self.k)
+    }
+
+    /// Per-POI sums of `term(value)` over the contribution map, objects
+    /// in ascending id order.
+    fn sum_per_poi(&self, term: impl Fn(f64) -> f64) -> Vec<(PoiId, f64)> {
+        let mut objects: Vec<ObjectId> = self.contrib.keys().copied().collect();
+        objects.sort_unstable();
+        let mut sums: HashMap<PoiId, f64> = self.pois.iter().map(|&p| (p, 0.0)).collect();
+        for o in objects {
+            let Some(contrib) = self.contrib.get(&o) else { continue };
+            for &(p, value) in contrib {
+                // contrib_of only ever yields POIs from the query set; a
+                // stranger POI is skipped rather than trusted with a panic.
+                if let Some(sum) = sums.get_mut(&p) {
+                    *sum += term(value);
+                }
+            }
+        }
+        sums.into_iter().collect()
     }
 
     /// Whether `ranked` crosses the ε gate relative to the last pushed
@@ -300,23 +289,27 @@ impl Engine {
         ott: &ObjectTrackingTable,
         object: ObjectId,
     ) -> Vec<(PoiId, f64)> {
-        match sub.kind {
-            SubKind::Snapshot { t } => object_snapshot_flows(ur, ott, object, t, &sub.rp),
-            SubKind::Interval { ts, te } => object_interval_flows(ur, ott, object, ts, te, &sub.rp),
+        match (sub.kind, &mut sub.state) {
             // A distrib subscription stores the same per-object snapshot
             // presences a Snapshot one does (the distribution shape is
             // applied at rank time), so its per-delta recompute cost is
             // identical — the bench9 overhead gate leans on this.
-            SubKind::Distrib { t, .. } => object_snapshot_flows(ur, ott, object, t, &sub.rp),
+            (SubKind::Snapshot { t } | SubKind::Distrib { t, .. }, _) => {
+                object_snapshot_flows(ur, ott, object, t, &sub.rp)
+            }
+            (SubKind::Interval { ts, te }, _) => {
+                object_interval_flows(ur, ott, object, ts, te, &sub.rp)
+            }
             // A long-visit subscription stores expected dwell per POI;
             // the threshold count is applied at rank time so ε/`d` never
             // influence what is cached. The dwell integral is maintained
             // incrementally — appends only change presence past the last
             // record's start, so only the window tail is re-integrated.
-            SubKind::LongVisit { ts, te, .. } => {
-                let Sub { dwell, rp, .. } = sub;
-                dwell.entry(object).or_default().recompute(ur, ott, object, ts, te, rp)
+            (SubKind::LongVisit { ts, te, .. }, SubState::LongVisit(dwell)) => {
+                dwell.entry(object).or_default().recompute(ur, ott, object, ts, te, &sub.rp)
             }
+            // `SubState::of` gives every long-visit subscription its caches.
+            (SubKind::LongVisit { .. }, _) => Vec::new(),
         }
     }
 
@@ -346,7 +339,9 @@ impl Engine {
             for id in sub_ids {
                 let Some(sub) = self.subs.get_mut(&id) else { continue };
                 if !extends {
-                    sub.dwell.remove(&delta.object);
+                    if let SubState::LongVisit(dwell) = &mut sub.state {
+                        dwell.remove(&delta.object);
+                    }
                 }
                 if !sub.affected_by(delta.affected_start) {
                     continue;
@@ -427,13 +422,7 @@ impl Engine {
             pois,
             rp,
             contrib: HashMap::new(),
-            dwell: HashMap::new(),
-            distrib: match spec.kind {
-                SubKind::Distrib { kq, kmax, .. } => {
-                    Some(DistribState::new(kq as usize, kmax as usize))
-                }
-                _ => None,
-            },
+            state: SubState::of(spec.kind),
             current: Vec::new(),
             last_sent: None,
             seq: 0,
@@ -514,21 +503,31 @@ impl Engine {
         inflow_tracking::store::frame::fnv1a(&buf)
     }
 
-    /// One-shot query: the reference batch path over the union of all
-    /// current rows.
-    fn one_shot(&self, spec: &SubSpec, writer: &Sender<Vec<u8>>) {
+    /// Every current row, ordered by object, then `ts`, then `te`.
+    fn sorted_rows(&self) -> Vec<OttRow> {
         let mut rows: Vec<OttRow> = self.rows.values().flatten().copied().collect();
         rows.sort_by(|a, b| {
             a.object.cmp(&b.object).then(a.ts.total_cmp(&b.ts)).then(a.te.total_cmp(&b.te))
         });
-        let ott = match ObjectTrackingTable::from_rows(rows) {
-            Ok(o) => o,
+        rows
+    }
+
+    /// The reference batch analytics over the union of all current rows;
+    /// rows that do not form a valid table are reported on `writer`.
+    fn batch(&self, writer: &Sender<Vec<u8>>) -> Option<FlowAnalytics> {
+        match ObjectTrackingTable::from_rows(self.sorted_rows()) {
+            Ok(ott) => Some(FlowAnalytics::new(Arc::clone(&self.ctx), ott, self.ur_cfg)),
             Err(e) => {
                 send_frame(writer, tag::ERROR, format!("inconsistent rows: {e}").as_bytes());
-                return;
+                None
             }
-        };
-        let fa = FlowAnalytics::new(Arc::clone(&self.ctx), ott, self.ur_cfg);
+        }
+    }
+
+    /// One-shot query: the reference batch path over the union of all
+    /// current rows.
+    fn one_shot(&self, spec: &SubSpec, writer: &Sender<Vec<u8>>) {
+        let Some(fa) = self.batch(writer) else { return };
         let (pois, _) = self.resolve_pois(&spec.pois);
         let ranked = match spec.kind {
             SubKind::Snapshot { t } => {
@@ -558,18 +557,7 @@ impl Engine {
             send_frame(writer, tag::ERROR, b"DISTRIB requires a distrib query kind");
             return;
         };
-        let mut rows: Vec<OttRow> = self.rows.values().flatten().copied().collect();
-        rows.sort_by(|a, b| {
-            a.object.cmp(&b.object).then(a.ts.total_cmp(&b.ts)).then(a.te.total_cmp(&b.te))
-        });
-        let ott = match ObjectTrackingTable::from_rows(rows) {
-            Ok(o) => o,
-            Err(e) => {
-                send_frame(writer, tag::ERROR, format!("inconsistent rows: {e}").as_bytes());
-                return;
-            }
-        };
-        let fa = FlowAnalytics::new(Arc::clone(&self.ctx), ott, self.ur_cfg);
+        let Some(fa) = self.batch(writer) else { return };
         let (pois, _) = self.resolve_pois(&spec.pois);
         let q = DistribQuery::at(t, pois, kq as usize, kmax as usize, spec.k);
         let res = fa.distrib_topk(&q);
@@ -607,11 +595,7 @@ impl Engine {
     }
 
     fn dump_rows(&self, writer: &Sender<Vec<u8>>) {
-        let mut rows: Vec<OttRow> = self.rows.values().flatten().copied().collect();
-        rows.sort_by(|a, b| {
-            a.object.cmp(&b.object).then(a.ts.total_cmp(&b.ts)).then(a.te.total_cmp(&b.te))
-        });
-        send_frame(writer, tag::ROWS, &protocol::encode_rows(&rows));
+        send_frame(writer, tag::ROWS, &protocol::encode_rows(&self.sorted_rows()));
     }
 }
 

@@ -27,6 +27,19 @@
 //! Everything is `std` only: `std::net` sockets, `std::thread` workers,
 //! `mpsc` channels.
 
+// Panic-freedom: a panic here kills a shard or the engine thread, so
+// non-test code returns typed errors instead. The audited exceptions
+// are `#[expect(..., reason = ...)]`s, which fail clippy once stale.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod client;
 mod engine;
 pub mod error;

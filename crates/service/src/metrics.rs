@@ -176,17 +176,17 @@ impl ServiceMetrics {
 
     /// p99 of the incremental recompute latency, ns.
     pub fn recompute_p99_ns(&self) -> u64 {
-        lock_or_recover(&self.recompute_ns).quantile_ns(0.99)
+        lock_or_recover(&self.recompute_ns).quantile(0.99)
     }
 
     /// p99 of the notification fan-out latency, ns.
     pub fn notify_p99_ns(&self) -> u64 {
-        lock_or_recover(&self.notify_ns).quantile_ns(0.99)
+        lock_or_recover(&self.notify_ns).quantile(0.99)
     }
 
     /// p99 of the end-to-end notification latency, ns.
     pub fn e2e_p99_ns(&self) -> u64 {
-        lock_or_recover(&self.e2e_ns).quantile_ns(0.99)
+        lock_or_recover(&self.e2e_ns).quantile(0.99)
     }
 
     /// Human-readable registry dump (the `STATS` reply and `watch --stats`

@@ -260,6 +260,10 @@ impl ShardState {
     /// Applies a single reading to the store, pushing the objects it
     /// changed onto `applied` (emission is the caller's job, once per
     /// publish slice).
+    #[expect(
+        clippy::panic,
+        reason = "crash-by-design: store failure must kill the worker so recovery replays the WAL"
+    )]
     fn ingest_one(
         &mut self,
         r: RawReading,
@@ -310,6 +314,10 @@ impl ShardState {
 }
 
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::panic,
+    reason = "crash-by-design: an unopenable store at startup has no safe fallback"
+)]
 fn run_shard(
     index: usize,
     dir: PathBuf,

@@ -13,6 +13,10 @@
 //!
 //! [`FailpointWriter`] is the same idea for plain `io::Write` sinks
 //! (e.g. an encoded snapshot streamed into a buffer).
+#![expect(
+    clippy::indexing_slicing,
+    reason = "crash-injection test double; indexes its own fixed script, not wire input"
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

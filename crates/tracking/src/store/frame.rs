@@ -19,9 +19,15 @@
 //! byte-for-byte comparisons of re-encoded state are meaningful.
 //!
 //! This is the one module that may call `from_le_bytes` (`clippy.toml`
-//! disallows it everywhere else): its readers check every length before
-//! the fixed-width slice they decode.
+//! disallows it everywhere else) and the one store module that indexes
+//! and slices directly: its readers check every length before the
+//! fixed-width slice they decode.
 #![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "designated framing module: indexing follows explicit length checks in take()/FrameReader"
+)]
 
 use super::{FrameErrorKind, StoreError};
 use crate::ott::{ObjectId, OttRow};

@@ -26,6 +26,19 @@
 //! All I/O goes through the [`Fs`] trait; production uses [`StdFs`],
 //! tests use [`FailpointFs`].
 
+// Panic-freedom: a panic here aborts mid-write, so
+// non-test code returns typed errors instead. The audited exceptions
+// are `#[expect(..., reason = ...)]`s, which fail clippy once stale.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod compact;
 pub mod failpoint;
 pub mod frame;
